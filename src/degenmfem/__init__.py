@@ -5,7 +5,7 @@ regularized L-scheme, regularized Newton) and a benchmark harness that
 compares their iteration counts.
 """
 
-from degenmfem.mesh import Mesh, build_structured_unit_square, cell_geometry
+from degenmfem.mesh import Mesh, build_structured_unit_square
 from degenmfem.fem import (
     AssembledForms,
     assemble_forms,
@@ -42,7 +42,7 @@ from degenmfem.schemes import (
     StoppingCriterion,
     TimeStepResult,
     hl_iterate,
-    l_type_iterate,
+    linearized_iterate,
     newton_iterate,
     regularized_l_iterate,
     run_time_series,
@@ -62,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Mesh",
     "build_structured_unit_square",
-    "cell_geometry",
     "AssembledForms",
     "assemble_forms",
     "project_scalar",
@@ -90,7 +89,7 @@ __all__ = [
     "IterationReport",
     "TimeStepResult",
     "hl_iterate",
-    "l_type_iterate",
+    "linearized_iterate",
     "regularized_l_iterate",
     "newton_iterate",
     "run_time_series",

@@ -28,6 +28,7 @@ reference computation per tau is sequential.
 """
 
 import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ from degenmfem.linear_system import assemble, factorize
 from degenmfem.mesh import Mesh
 from degenmfem.nonlinearity import NonlinearitySpec, RegularizationSpec, b_value
 from degenmfem.schemes import (
+    SCHEME_KINDS,
     SchemeConfig,
     StoppingCriterion,
     TimeStepResult,
@@ -197,9 +199,46 @@ class ExperimentResult:
     converged: bool
 
 
+def scheme_config(kind, tol, tau, eps=None, msol=DEFAULT_SOLUTION, L=None,
+                  reg_kind="linear", shift=0.0):
+    """Config of one benchmark run, stopping within ``tol`` of the
+    reference.
+
+    Unless ``L`` is given, the hl scheme takes it from the
+    tolerance-driven selection and the regularized L-scheme from the
+    eps-driven one; Newton takes none.  ``eps``, ``reg_kind`` and
+    ``shift`` define the regularization of lreg and newton.
+    """
+    spec = msol.nonlinearity()
+    stopping = StoppingCriterion(mode="against_reference", tol=tol)
+    if kind == "hl":
+        if L is None:
+            _, L = select_delta(tol, tau, TheoryConstants.for_unit_square(spec))
+        return SchemeConfig(kind="hl", tau=tau, stopping=stopping,
+                            nonlinearity=spec, L=float(L))
+    reg = RegularizationSpec(kind=reg_kind, epsilon=eps, base=spec,
+                             shift=shift)
+    if kind == "lreg" and L is None:
+        L = select_L_regularized(eps, spec)
+    return SchemeConfig(kind=kind, tau=tau, stopping=stopping,
+                        regularization=reg, L=None if L is None else float(L))
+
+
+def experiment_row(config, eps, series, n_steps):
+    """The table row of a series run under ``config``; a series that did
+    not converge in all ``n_steps`` steps is an nc row without counts."""
+    converged = series_converged(series, n_steps)
+    total = total_iterations(series) if converged else None
+    return ExperimentResult(
+        scheme=config.kind, tol=config.stopping.tol, eps=eps, tau=config.tau,
+        L=None if config.L is None else int(config.L),
+        total_iterations=total,
+        per_step=total / n_steps if converged else None,
+        converged=converged)
+
+
 def run_table(kind, mesh, forms, references_by_tau, msol=DEFAULT_SOLUTION,
-              tols=GRID_TOL, epses=GRID_EPS, taus=GRID_TAU,
-              reg_kind="linear", shift=0.0, max_iterations=None):
+              tols=GRID_TOL, epses=GRID_EPS, taus=GRID_TAU):
     """Map one scheme over the benchmark grid.
 
     ``references_by_tau`` maps each tau to the per-step (u, q) reference
@@ -211,53 +250,20 @@ def run_table(kind, mesh, forms, references_by_tau, msol=DEFAULT_SOLUTION,
     Rows are ordered tol-major, then eps, then tau, matching the
     recorded layout.
     """
-    if kind not in ("hl", "lreg", "newton"):
+    if kind not in SCHEME_KINDS:
         raise ValueError(f"unknown scheme kind {kind!r}")
-    spec = msol.nonlinearity()
-    consts = TheoryConstants.for_unit_square(spec)
     u0 = project_scalar(mesh, msol.initial)
     source = make_source_provider(mesh, msol)
+    eps_axis = [None] if kind == "hl" else epses
 
     results = []
-    eps_axis = [None] if kind == "hl" else list(epses)
-    for tol in tols:
-        for eps in eps_axis:
-            for tau in taus:
-                n_steps = steps_for_tau(msol, tau)
-                refs = reference_fields(references_by_tau[tau])
-                stopping = StoppingCriterion(mode="against_reference", tol=tol)
-                if kind == "hl":
-                    _, big_l = select_delta(tol, tau, consts)
-                    config = SchemeConfig(
-                        kind="hl", tau=tau, stopping=stopping,
-                        nonlinearity=spec, L=float(big_l),
-                        max_iterations=max_iterations)
-                else:
-                    reg = RegularizationSpec(kind=reg_kind, epsilon=eps,
-                                             base=spec, shift=shift)
-                    if kind == "lreg":
-                        big_l = select_L_regularized(eps, spec)
-                        config = SchemeConfig(
-                            kind="lreg", tau=tau, stopping=stopping,
-                            regularization=reg, L=float(big_l),
-                            max_iterations=max_iterations)
-                    else:
-                        big_l = None
-                        config = SchemeConfig(
-                            kind="newton", tau=tau, stopping=stopping,
-                            regularization=reg,
-                            max_iterations=max_iterations)
-
-                series = run_time_series(config, mesh, forms, u0, source,
-                                         n_steps, references=refs)
-                converged = series_converged(series, n_steps)
-                total = total_iterations(series) if converged else None
-                per_step = total / n_steps if converged else None
-                results.append(ExperimentResult(
-                    scheme=kind, tol=tol, eps=eps, tau=tau,
-                    L=None if big_l is None else int(big_l),
-                    total_iterations=total, per_step=per_step,
-                    converged=converged))
+    for tol, eps, tau in itertools.product(tols, eps_axis, taus):
+        n_steps = steps_for_tau(msol, tau)
+        config = scheme_config(kind, tol, tau, eps, msol)
+        series = run_time_series(config, mesh, forms, u0, source, n_steps,
+                                 references=reference_fields(
+                                     references_by_tau[tau]))
+        results.append(experiment_row(config, eps, series, n_steps))
     return results
 
 

@@ -27,24 +27,19 @@ from pathlib import Path
 from degenmfem import benchmark
 from degenmfem.benchmark import (
     DEFAULT_SOLUTION,
-    ExperimentResult,
     compute_reference,
+    experiment_row,
     make_source_provider,
     reference_fields,
     render_summary,
     run_table,
+    scheme_config,
     write_results_csv,
 )
 from degenmfem.fem import assemble_forms, project_scalar
 from degenmfem.mesh import build_structured_unit_square
-from degenmfem.nonlinearity import NonlinearitySpec, RegularizationSpec
-from degenmfem.schemes import (
-    SchemeConfig,
-    StoppingCriterion,
-    run_time_series,
-    series_converged,
-    total_iterations,
-)
+from degenmfem.nonlinearity import NonlinearitySpec
+from degenmfem.schemes import SCHEME_KINDS, run_time_series, total_iterations
 from degenmfem.theory import (
     TheoryConstants,
     accumulated_error_bound,
@@ -82,7 +77,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="run one scheme configuration")
-    ps.add_argument("--scheme", required=True, choices=("hl", "lreg", "newton"))
+    ps.add_argument("--scheme", required=True, choices=SCHEME_KINDS)
     ps.add_argument("--n", type=int, default=32, help="mesh subdivisions per side")
     ps.add_argument("--tau", type=float, required=True, help="time step size")
     ps.add_argument("--steps", type=int, required=True, help="number of time steps")
@@ -135,48 +130,18 @@ def _run_solve(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     msol = DEFAULT_SOLUTION
-    spec = msol.nonlinearity()
-    consts = TheoryConstants.for_unit_square(spec)
     mesh = build_structured_unit_square(args.n)
     forms = assemble_forms(mesh, msol.boundary_value)
 
     reference = compute_reference(mesh, forms, args.tau, args.steps, msol)
-    refs = reference_fields(reference)
-    stopping = StoppingCriterion(mode="against_reference", tol=args.tol)
-
-    if args.scheme == "hl":
-        big_l = args.L if args.L is not None else float(
-            select_delta(args.tol, args.tau, consts)[1])
-        config = SchemeConfig(kind="hl", tau=args.tau, stopping=stopping,
-                              nonlinearity=spec, L=big_l)
-        eps = None
-    else:
-        reg = RegularizationSpec(kind=args.reg_kind, epsilon=args.eps,
-                                 base=spec, shift=args.shift)
-        eps = args.eps
-        if args.scheme == "lreg":
-            big_l = args.L if args.L is not None else float(
-                select_L_regularized(args.eps, spec))
-            config = SchemeConfig(kind="lreg", tau=args.tau, stopping=stopping,
-                                  regularization=reg, L=big_l)
-        else:
-            big_l = None
-            config = SchemeConfig(kind="newton", tau=args.tau,
-                                  stopping=stopping, regularization=reg)
+    config = scheme_config(args.scheme, args.tol, args.tau, args.eps, msol,
+                           args.L, args.reg_kind, args.shift)
 
     u0 = project_scalar(mesh, msol.initial)
     source = make_source_provider(mesh, msol)
     series = run_time_series(config, mesh, forms, u0, source, args.steps,
-                             references=refs)
-    converged = series_converged(series, args.steps)
-    total = total_iterations(series)
-
-    result = ExperimentResult(
-        scheme=args.scheme, tol=args.tol, eps=eps, tau=args.tau,
-        L=None if big_l is None else int(big_l),
-        total_iterations=total if converged else None,
-        per_step=total / args.steps if converged else None,
-        converged=converged)
+                             references=reference_fields(reference))
+    result = experiment_row(config, args.eps, series, args.steps)
     write_results_csv(out_dir / "solve_result.csv", [result])
 
     lines = [
@@ -187,14 +152,14 @@ def _run_solve(args) -> int:
         f"steps = {args.steps}",
         f"tol = {args.tol:g}",
     ]
-    if eps is not None:
-        lines.append(f"eps = {eps:g}")
+    if args.eps is not None:
+        lines.append(f"eps = {args.eps:g}")
         lines.append(f"reg_kind = {args.reg_kind}")
         lines.append(f"shift = {args.shift:g}")
-    if big_l is not None:
-        lines.append(f"L = {int(big_l)}")
-    lines.append(f"converged = {'true' if converged else 'false'}")
-    lines.append(f"total_iterations = {total}")
+    if result.L is not None:
+        lines.append(f"L = {result.L}")
+    lines.append(f"converged = {'true' if result.converged else 'false'}")
+    lines.append(f"total_iterations = {total_iterations(series)}")
     lines.append("")
     lines.append("step  t        iterations  converged  reason")
     for r in series:
@@ -205,7 +170,7 @@ def _run_solve(args) -> int:
     (out_dir / "solve_report.txt").write_text(report_text)
     print(report_text, end="")
 
-    return 0 if converged else 2
+    return 0 if result.converged else 2
 
 
 def _run_tables(args) -> int:

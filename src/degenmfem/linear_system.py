@@ -12,17 +12,16 @@ matrix is nonsingular whenever the weights are nonnegative and tau > 0
 since M is symmetric positive definite and B has full row rank.
 
 Systems are factorized once with a sparse direct LU decomposition and
-the factorization reused across solves; a validity tag ties each
-factorization to the (weights, tau) snapshot it was built from, so
-L-type schemes keep one factorization for a whole run while Newton must
-refactorize every iteration.
+the factorization reused across solves; each factorization keeps the
+system it was built from and rejects solves against other (weights,
+tau), so L-type schemes keep one factorization for a whole run while
+Newton must refactorize every iteration.
 
 A ``Factorization`` is immutable; solves are pure functions of
 (factorization, right-hand side) and repeated solves are bit-identical.
 Assembly and factorization are single-threaded.
 """
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,13 +41,6 @@ class StaleFactorizationError(Exception):
     (weights, tau) than it was built from."""
 
 
-def _system_tag(weights: np.ndarray, tau: float) -> bytes:
-    h = hashlib.sha1()
-    h.update(np.float64(tau).tobytes())
-    h.update(np.ascontiguousarray(weights, dtype=np.float64).tobytes())
-    return h.digest()
-
-
 @dataclass(frozen=True)
 class SaddleSystem:
     """Immutable assembled block system (right-hand sides supplied per solve)."""
@@ -57,7 +49,6 @@ class SaddleSystem:
     weights: np.ndarray
     tau: float
     matrix: sps.csc_matrix
-    tag: bytes
 
     @property
     def num_cells(self) -> int:
@@ -70,12 +61,10 @@ class SaddleSystem:
 
 @dataclass(frozen=True)
 class Factorization:
-    """Sparse LU factors plus the validity tag of the source system."""
+    """Sparse LU factors of a system, which they stay tied to."""
 
     lu: object = field(repr=False)
-    tag: bytes
-    num_cells: int
-    num_edges: int
+    system: SaddleSystem = field(repr=False)
 
 
 def assemble(forms: AssembledForms, weights, tau: float) -> SaddleSystem:
@@ -102,8 +91,7 @@ def assemble(forms: AssembledForms, weights, tau: float) -> SaddleSystem:
         format="csc",
     )
     weights.flags.writeable = False
-    return SaddleSystem(forms, weights, float(tau), matrix,
-                        _system_tag(weights, tau))
+    return SaddleSystem(forms, weights, float(tau), matrix)
 
 
 def factorize(system: SaddleSystem) -> Factorization:
@@ -112,28 +100,32 @@ def factorize(system: SaddleSystem) -> Factorization:
         lu = spla.splu(system.matrix)
     except RuntimeError as exc:
         raise SingularSystemError(str(exc)) from exc
-    return Factorization(lu, system.tag, system.num_cells, system.num_edges)
+    return Factorization(lu, system)
 
 
 def solve(fact: Factorization, rhs_scalar, rhs_flux, check_against=None):
     """Solve for (u, q) given per-cell and per-edge right-hand sides.
 
-    If ``check_against`` is a SaddleSystem, the factorization tag is
-    compared against it and a stale factorization is rejected.
+    If ``check_against`` is a SaddleSystem, a factorization built for
+    another system with different (weights, tau) is rejected.
     """
-    if check_against is not None and fact.tag != check_against.tag:
+    own = fact.system
+    if check_against is not None and check_against is not own and not (
+            check_against.tau == own.tau
+            and np.array_equal(check_against.weights, own.weights)):
         raise StaleFactorizationError(
             "factorization was built for different (weights, tau)")
+    nc, ne = own.num_cells, own.num_edges
     rhs_scalar = np.asarray(rhs_scalar, dtype=float)
     rhs_flux = np.asarray(rhs_flux, dtype=float)
-    if rhs_scalar.shape != (fact.num_cells,):
-        raise ValueError(f"rhs_scalar must have shape ({fact.num_cells},)")
-    if rhs_flux.shape != (fact.num_edges,):
-        raise ValueError(f"rhs_flux must have shape ({fact.num_edges},)")
+    if rhs_scalar.shape != (nc,):
+        raise ValueError(f"rhs_scalar must have shape ({nc},)")
+    if rhs_flux.shape != (ne,):
+        raise ValueError(f"rhs_flux must have shape ({ne},)")
     x = fact.lu.solve(np.concatenate([rhs_scalar, rhs_flux]))
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("direct solve produced non-finite values")
-    return x[: fact.num_cells], x[fact.num_cells:]
+    return x[:nc], x[nc:]
 
 
 def residual_norm(system: SaddleSystem, u, q, rhs_scalar, rhs_flux) -> float:

@@ -190,36 +190,3 @@ def build_structured_unit_square(n: int) -> Mesh:
         a.flags.writeable = False
 
     return Mesh(n, *arrays)
-
-
-def cell_geometry(mesh: Mesh, cell: int):
-    """Return (area, barycenter, edge data) for one cell.
-
-    Edge data is a list of (length, midpoint, outward-normal sign) triples
-    in the cell's local edge order; the sign converts the global edge
-    normal into this cell's outward normal.
-    """
-    if not 0 <= cell < mesh.num_cells:
-        raise ValueError(f"cell index {cell} out of range [0, {mesh.num_cells})")
-    edges = mesh.cell_edges[cell]
-    edge_data = [
-        (
-            float(mesh.edge_lengths[e]),
-            mesh.edge_midpoints[e].copy(),
-            int(mesh.cell_edge_signs[cell, k]),
-        )
-        for k, e in enumerate(edges)
-    ]
-    return float(mesh.cell_areas[cell]), mesh.cell_barycenters[cell].copy(), edge_data
-
-
-def export_plaintext(mesh: Mesh, path) -> None:
-    """Write vertices and cells as plain text for external plotting."""
-    with open(path, "w") as fh:
-        fh.write(f"# unit square triangulation, n = {mesh.n}\n")
-        fh.write(f"# {mesh.num_vertices} vertices\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g}\n")
-        fh.write(f"# {mesh.num_cells} cells\n")
-        for a, b, c in mesh.cells:
-            fh.write(f"{a} {b} {c}\n")

@@ -5,21 +5,25 @@ Each backward Euler step requires solving the nonlinear system
     <b(u^n) - b(u^{n-1}), w> + tau <div q^n, w> = tau <f^n, w>,
     <q^n, v> - <u^n, div v> = -<g_D, v.n>_boundary,
 
-and the schemes differ only in how the storage term is linearized at
-iteration i:
+and all three schemes solve it with one loop: iteration i replaces the
+storage term by
 
-* ``hl``     : L (u^i - u^{i-1}) + b(u^{i-1}) with the raw Holder b and
-               L = 1/delta chosen from the target tolerance;
-* ``lreg``   : the same with b replaced by the regularized b_eps
-               everywhere (including b_eps(u^{n-1}) on the right) and
-               L >= Lipschitz(b_eps)/2;
-* ``newton`` : b_eps(u^{i-1}) + b'_eps(u^{i-1})(u^i - u^{i-1}), which
-               makes the scalar block iteration-dependent.
+    w (u^i - u^{i-1}) + s(u^{i-1}),
 
-The L-type schemes keep one matrix factorization for all iterations of
-all time steps; Newton reassembles and refactorizes every iteration.
-The source functional <f, w> is carried on the right-hand side of every
-scheme.
+where s is the storage function the scheme iterates on and w the
+per-cell linearization weight:
+
+* ``hl``     : s = b, the raw Holder function, and w = L = 1/delta
+               chosen from the target tolerance;
+* ``lreg``   : s = b_eps, the regularization (also in b_eps(u^{n-1}) on
+               the right), and the constant w = L >= Lipschitz(b_eps)/2;
+* ``newton`` : s = b_eps and w = b'_eps(u^{i-1}), which makes the
+               scalar block iteration-dependent.
+
+With a constant weight one matrix factorization serves all iterations of
+all time steps; Newton's weights change, so it reassembles and
+refactorizes every iteration.  The source functional <f, w> is carried
+on the right-hand side of every scheme.
 
 Stopping is either ``against_reference`` (L2 distance of the scalar
 iterate to a supplied reference field drops below TOL; flux error is
@@ -27,7 +31,7 @@ recorded but not used to stop) or ``increment`` (both the absolute sum
 ||du|| + ||dq|| and the relative sum ||du||/||u|| + ||dq||/||q|| drop
 below TOL).  Non-convergence is reported, never raised: exceeding the
 iteration cap, error blow-up past the divergence threshold, and singular
-Newton systems are distinguished in ``IterationReport.failure_reason``.
+systems are distinguished in ``IterationReport.failure_reason``.
 
 A single time series is strictly sequential; distinct runs are
 independent and may execute in parallel against shared read-only forms.
@@ -131,11 +135,8 @@ class SchemeConfig:
                 raise ValueError("lreg scheme requires L > 0")
             if self.kind == "newton" and self.L is not None:
                 raise ValueError("newton scheme takes no L")
-
-    def resolved_max_iterations(self) -> int:
-        if self.max_iterations is not None:
-            return self.max_iterations
-        return DEFAULT_MAX_ITERATIONS[self.kind]
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
     def storage_function(self):
         """The storage nonlinearity the scheme iterates on."""
@@ -219,8 +220,62 @@ class _Stopping:
         return abs_sum < self.crit.tol and rel_u + rel_q < self.crit.tol, False
 
 
-def _finish(tracker, iterations, converged, reason):
-    return IterationReport(
+def linearized_iterate(forms, config, storage_fn, weights_fn, storage_prev,
+                       u_init, f_n, system=None, fact=None):
+    """One time step of the linearized iteration shared by all schemes.
+
+    ``storage_fn`` may be any monotone increasing, Holder continuous
+    storage nonlinearity evaluated per cell (the drivers pass the
+    built-in power law or its regularization); ``storage_prev`` holds
+    its values at the previous time-step solution.
+
+    With ``weights_fn`` None the weight is the constant ``config.L`` and
+    the system (weights L, step tau) is assembled and factorized once
+    unless supplied.  Otherwise the per-cell weights ``weights_fn(u)``
+    of the current iterate are assembled and factorized every iteration.
+    A singular system is reported as non-convergence, not raised.
+    """
+    tau = config.tau
+    if weights_fn is None:
+        w = config.L
+        if system is None:
+            system = assemble(forms, w, tau)
+        if fact is None:
+            fact = factorize(system)
+    areas = forms.scalar_mass
+    base = areas * (np.asarray(storage_prev, dtype=float) + tau * np.asarray(f_n, dtype=float))
+    rhs_flux = forms.dirichlet_functional
+
+    tracker = _Stopping(forms, config.stopping, config.divergence_threshold)
+    u = np.array(u_init, dtype=float, copy=True)
+    # The flux of the previous iterate; increments start at the second solve.
+    q_prev = None
+    q = np.zeros(forms.num_edges)
+    tracker.record_initial(u)
+
+    converged = False
+    reason = "max_iterations"
+    cap = config.max_iterations or DEFAULT_MAX_ITERATIONS[config.kind]
+    for iterations in range(1, cap + 1):
+        try:
+            if weights_fn is not None:
+                w = weights_fn(u)
+                system = assemble(forms, w, tau)
+                fact = factorize(system)
+            rhs_scalar = areas * (w * u - storage_fn(u)) + base
+            u_new, q_new = solve(fact, rhs_scalar, rhs_flux, check_against=system)
+        except SingularSystemError:
+            reason = "singular system"
+            break
+        converged, diverged = tracker.update(u_new, q_new, u, q_prev)
+        u, q, q_prev = u_new, q_new, q_new
+        if diverged:
+            reason = "divergence"
+            break
+        if converged:
+            break
+
+    return u, q, IterationReport(
         iterations_used=iterations,
         converged=converged,
         failure_reason=None if converged else reason,
@@ -229,50 +284,9 @@ def _finish(tracker, iterations, converged, reason):
     )
 
 
-def l_type_iterate(forms, config, storage_fn, storage_prev, u_init, f_n,
-                   system=None, fact=None):
-    """One time step of an L-stabilized iteration with a caller-supplied
-    storage function.
-
-    ``storage_fn`` may be any monotone increasing, Holder continuous
-    storage nonlinearity evaluated per cell (the hl and lreg drivers pass
-    the built-in power law and its regularization); ``storage_prev``
-    holds its values at the previous time-step solution.  The stabilized
-    system (weights L, step tau) is assembled and factorized once unless
-    supplied.
-    """
-    if system is None:
-        system = assemble(forms, config.L, config.tau)
-    if fact is None:
-        fact = factorize(system)
-    areas = forms.scalar_mass
-    big_l, tau = config.L, config.tau
-    base = areas * (np.asarray(storage_prev, dtype=float) + tau * np.asarray(f_n, dtype=float))
-    rhs_flux = forms.dirichlet_functional
-
-    tracker = _Stopping(forms, config.stopping, config.divergence_threshold)
-    u = np.array(u_init, dtype=float, copy=True)
-    q = None
-    tracker.record_initial(u)
-
-    converged = False
-    reason = "max_iterations"
-    iterations = 0
-    for i in range(1, config.resolved_max_iterations() + 1):
-        rhs_scalar = areas * (big_l * u - storage_fn(u)) + base
-        u_new, q_new = solve(fact, rhs_scalar, rhs_flux, check_against=system)
-        iterations = i
-        converged, diverged = tracker.update(u_new, q_new, u, q)
-        u, q = u_new, q_new
-        if diverged:
-            reason = "divergence"
-            break
-        if converged:
-            break
-
-    if q is None:  # max_iterations == 0 edge case
-        raise ValueError("at least one iteration is required")
-    return u, q, _finish(tracker, iterations, converged, reason)
+def _check_kind(config, kind):
+    if config.kind != kind:
+        raise ValueError(f"expected a {kind!r} config, got {config.kind!r}")
 
 
 def hl_iterate(forms, config, b_prev, u_init, f_n, system=None, fact=None):
@@ -293,11 +307,9 @@ def hl_iterate(forms, config, b_prev, u_init, f_n, system=None, fact=None):
     -------
     (u, q, IterationReport)
     """
-    if config.kind != "hl":
-        raise ValueError(f"expected an hl config, got {config.kind!r}")
-    spec = config.nonlinearity
-    return l_type_iterate(forms, config, lambda u: b_value(spec, u),
-                           b_prev, u_init, f_n, system, fact)
+    _check_kind(config, "hl")
+    return linearized_iterate(forms, config, config.storage_function(), None,
+                              b_prev, u_init, f_n, system, fact)
 
 
 def regularized_l_iterate(forms, config, beps_prev, u_init, f_n,
@@ -307,58 +319,22 @@ def regularized_l_iterate(forms, config, beps_prev, u_init, f_n,
     Identical loop to ``hl_iterate`` with b replaced by b_eps everywhere;
     ``beps_prev`` holds the per-cell values of b_eps(u^{n-1}).
     """
-    if config.kind != "lreg":
-        raise ValueError(f"expected an lreg config, got {config.kind!r}")
-    reg = config.regularization
-    return l_type_iterate(forms, config, lambda u: b_eps(reg, u),
-                           beps_prev, u_init, f_n, system, fact)
+    _check_kind(config, "lreg")
+    return linearized_iterate(forms, config, config.storage_function(), None,
+                              beps_prev, u_init, f_n, system, fact)
 
 
 def newton_iterate(forms, config, beps_prev, u_init, f_n):
     """One time step of the Newton scheme on the regularized problem.
 
     The scalar block carries the per-cell weights b'_eps(u^{i-1}), so the
-    system is reassembled and refactorized every iteration.  A singular
-    factorization is reported as non-convergence, not raised.
+    system is reassembled and refactorized every iteration.
     """
-    if config.kind != "newton":
-        raise ValueError(f"expected a newton config, got {config.kind!r}")
+    _check_kind(config, "newton")
     reg = config.regularization
-    areas = forms.scalar_mass
-    tau = config.tau
-    base = areas * (np.asarray(beps_prev, dtype=float) + tau * np.asarray(f_n, dtype=float))
-    rhs_flux = forms.dirichlet_functional
-
-    tracker = _Stopping(forms, config.stopping, config.divergence_threshold)
-    u = np.array(u_init, dtype=float, copy=True)
-    q = np.zeros(forms.num_edges)
-    tracker.record_initial(u)
-
-    converged = False
-    reason = "max_iterations"
-    iterations = 0
-    q_prev = None
-    for i in range(1, config.resolved_max_iterations() + 1):
-        weights = b_eps_prime(reg, u)
-        try:
-            system = assemble(forms, weights, tau)
-            fact = factorize(system)
-            rhs_scalar = areas * (weights * u - b_eps(reg, u)) + base
-            u_new, q_new = solve(fact, rhs_scalar, rhs_flux, check_against=system)
-        except SingularSystemError:
-            iterations = i
-            reason = "singular system"
-            break
-        iterations = i
-        converged, diverged = tracker.update(u_new, q_new, u, q_prev)
-        u, q, q_prev = u_new, q_new, q_new
-        if diverged:
-            reason = "divergence"
-            break
-        if converged:
-            break
-
-    return u, q, _finish(tracker, iterations, converged, reason)
+    return linearized_iterate(forms, config, config.storage_function(),
+                              lambda u: b_eps_prime(reg, u),
+                              beps_prev, u_init, f_n)
 
 
 def run_time_series(config, mesh, forms, u0, source_fn, n_steps,
@@ -386,11 +362,14 @@ def run_time_series(config, mesh, forms, u0, source_fn, n_steps,
         raise ValueError(f"need {n_steps} references, got {len(references)}")
 
     storage_fn = config.storage_function()
-
-    system = fact = None
-    if config.kind in ("hl", "lreg"):
+    # Looked up per call, so a driver replaced on the module is the one run.
+    iterate = {"hl": hl_iterate, "lreg": regularized_l_iterate,
+               "newton": newton_iterate}[config.kind]
+    # The L-type schemes share one factorization across all steps.
+    factors = ()
+    if config.kind != "newton":
         system = assemble(forms, config.L, config.tau)
-        fact = factorize(system)
+        factors = (system, factorize(system))
 
     results = []
     u_prev = np.asarray(u0, dtype=float)
@@ -409,16 +388,8 @@ def run_time_series(config, mesh, forms, u0, source_fn, n_steps,
                                  flux_reference=q_ref),
             )
 
-        if config.kind == "hl":
-            u, q, report = hl_iterate(forms, step_config, storage_prev,
-                                      u_prev, f_n, system, fact)
-        elif config.kind == "lreg":
-            u, q, report = regularized_l_iterate(forms, step_config,
-                                                 storage_prev, u_prev, f_n,
-                                                 system, fact)
-        else:
-            u, q, report = newton_iterate(forms, step_config, storage_prev,
-                                          u_prev, f_n)
+        u, q, report = iterate(forms, step_config, storage_prev, u_prev, f_n,
+                               *factors)
 
         results.append(TimeStepResult(n, t_n, u, q, report))
         if not report.converged and abort_on_failure:

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from degenmfem.mesh import (
-    Mesh,
-    build_structured_unit_square,
-    cell_geometry,
-    export_plaintext,
-)
+from degenmfem.mesh import build_structured_unit_square
 
 
 @pytest.mark.parametrize(
@@ -96,28 +91,17 @@ def test_normal_orientation_rule():
 
 def test_cell_geometry_values():
     mesh1 = build_structured_unit_square(1)
-    area, bary, edge_data = cell_geometry(mesh1, 0)
-    assert area == pytest.approx(0.5)
+    assert mesh1.cell_areas[0] == pytest.approx(0.5)
     # Cell 0 has vertices (0,0), (1,0), (1,1).
     np.testing.assert_allclose(mesh1.vertices[mesh1.cells[0]],
                                [[0, 0], [1, 0], [1, 1]])
-    np.testing.assert_allclose(bary, [2.0 / 3.0, 1.0 / 3.0])
-    assert len(edge_data) == 3
-    lengths = sorted(d[0] for d in edge_data)
+    np.testing.assert_allclose(mesh1.cell_barycenters[0],
+                               [2.0 / 3.0, 1.0 / 3.0])
+    lengths = sorted(mesh1.edge_lengths[mesh1.cell_edges[0]])
     np.testing.assert_allclose(lengths, [1.0, 1.0, np.sqrt(2.0)])
 
     mesh2 = build_structured_unit_square(2)
-    for c in range(mesh2.num_cells):
-        area, _, _ = cell_geometry(mesh2, c)
-        assert area == pytest.approx(0.125)
-
-
-def test_cell_geometry_invalid_index():
-    mesh = build_structured_unit_square(2)
-    with pytest.raises(ValueError):
-        cell_geometry(mesh, -1)
-    with pytest.raises(ValueError):
-        cell_geometry(mesh, mesh.num_cells)
+    np.testing.assert_allclose(mesh2.cell_areas, 0.125)
 
 
 def test_deterministic_rebuild():
@@ -135,12 +119,3 @@ def test_mesh_is_immutable():
     mesh = build_structured_unit_square(2)
     with pytest.raises(ValueError):
         mesh.vertices[0, 0] = 7.0
-
-
-def test_export_plaintext(tmp_path):
-    mesh = build_structured_unit_square(2)
-    path = tmp_path / "mesh.txt"
-    export_plaintext(mesh, path)
-    lines = path.read_text().splitlines()
-    coords = [l for l in lines if not l.startswith("#")]
-    assert len(coords) == mesh.num_vertices + mesh.num_cells

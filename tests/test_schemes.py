@@ -12,7 +12,7 @@ from degenmfem.schemes import (
     SchemeConfig,
     StoppingCriterion,
     hl_iterate,
-    l_type_iterate,
+    linearized_iterate,
     mass_balance_residual,
     newton_iterate,
     regularized_l_iterate,
@@ -67,6 +67,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SchemeConfig(kind="newton", tau=0.1, stopping=stop,
                      regularization=reg, L=2.0)  # newton takes no L
+    with pytest.raises(ValueError):
+        SchemeConfig(kind="hl", tau=0.1, stopping=stop, nonlinearity=HOLDER,
+                     L=1.0, max_iterations=0)  # every scheme needs a solve
     with pytest.raises(ValueError):
         SchemeConfig(kind="picard", tau=0.1, stopping=stop)
     with pytest.raises(ValueError):
@@ -195,21 +198,66 @@ def test_divergence_reported(forms):
     assert report.iterations_used == 1
 
 
-def test_singular_system_reported(forms, monkeypatch):
-    tau = 0.4
-    u_star, _, u_prev, f_n = _manufactured_linear_step(forms, seed=5)
+def _holder_config(kind, stopping, tau=0.4):
+    """A config of each scheme kind on the Holder nonlinearity."""
+    if kind == "hl":
+        return SchemeConfig(kind="hl", tau=tau, stopping=stopping,
+                            nonlinearity=HOLDER, L=40.0)
     reg = RegularizationSpec(kind="linear", epsilon=1e-3, base=HOLDER)
-    config = SchemeConfig(kind="newton", tau=tau,
-                          stopping=_reference_stop(u_star, tol=1e-9),
-                          regularization=reg)
+    return SchemeConfig(kind=kind, tau=tau, stopping=stopping,
+                        regularization=reg,
+                        L=40.0 if kind == "lreg" else None)
 
-    def boom(system):
+
+DRIVERS = {"hl": "hl_iterate", "lreg": "regularized_l_iterate",
+           "newton": "newton_iterate"}
+
+
+@pytest.mark.parametrize("kind,failing", [
+    ("hl", "solve"), ("lreg", "solve"), ("newton", "solve"),
+    ("newton", "factorize")])
+def test_singular_system_reported(forms, monkeypatch, kind, failing):
+    u_star, _, u_prev, f_n = _manufactured_linear_step(forms, seed=5)
+    config = _holder_config(kind, _reference_stop(u_star, tol=1e-9))
+
+    def boom(*args, **kwargs):
         raise SingularSystemError("synthetic pivot failure")
 
-    monkeypatch.setattr(schemes, "factorize", boom)
-    _, _, report = newton_iterate(forms, config, u_prev, u_prev, f_n)
+    monkeypatch.setattr(schemes, failing, boom)
+    driver = getattr(schemes, DRIVERS[kind])
+    _, _, report = driver(forms, config, u_prev, u_prev, f_n)
     assert not report.converged
     assert report.failure_reason == "singular system"
+    assert report.iterations_used == 1
+
+
+@pytest.mark.parametrize("kind", schemes.SCHEME_KINDS)
+def test_run_time_series_calls_driver_of_kind_per_step(forms, monkeypatch,
+                                                       kind):
+    # The series looks its driver up on the module at call time, once per
+    # step; per-layer tracing counts steps through these names.
+    u_star, q_star, u_prev, f_n = _manufactured_linear_step(forms, seed=8)
+    config = _holder_config(kind, StoppingCriterion(mode="against_reference",
+                                                    tol=1e-3))
+    calls = []
+
+    def recorder(name):
+        original = getattr(schemes, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[1].kind))
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in DRIVERS.values():
+        monkeypatch.setattr(schemes, name, recorder(name))
+    results = run_time_series(config, forms.mesh, forms, u_prev,
+                              lambda tn, tp: f_n, 2,
+                              references=[(u_star, q_star)] * 2,
+                              abort_on_failure=False)
+    assert len(results) == 2
+    assert calls == [(DRIVERS[kind], kind)] * 2
 
 
 def test_run_time_series_zero_problem():
@@ -271,7 +319,7 @@ def test_run_time_series_aborts_on_failure(forms):
 
 
 def test_custom_storage_bundle(forms):
-    # The L-type driver accepts any monotone Lipschitz/Holder storage
+    # The shared loop accepts any monotone Lipschitz/Holder storage
     # function, not just the built-in power family.
     tau = 0.4
     rng = np.random.default_rng(14)
@@ -285,8 +333,8 @@ def test_custom_storage_bundle(forms):
     config = SchemeConfig(kind="hl", tau=tau,
                           stopping=_reference_stop(u_star, tol=1e-9),
                           nonlinearity=LIPSCHITZ, L=1.0)
-    u, q, report = l_type_iterate(forms, config, np.tanh, np.tanh(u_prev),
-                                  u_prev, f_n)
+    u, q, report = linearized_iterate(forms, config, np.tanh, None,
+                                      np.tanh(u_prev), u_prev, f_n)
     assert report.converged
     np.testing.assert_allclose(u, u_star, atol=1e-8)
     np.testing.assert_allclose(q, q_star, atol=1e-7)
