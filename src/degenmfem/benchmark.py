@@ -34,15 +34,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from degenmfem.fem import l2_norm_scalar, project_scalar
-from degenmfem.linear_system import assemble, factorize
+# assemble, factorize and hl_iterate are unused here: perfbench/tracer.py
+# looks them up on this module by name and refuses to install without them.
+from degenmfem.linear_system import assemble, factorize  # noqa: F401
 from degenmfem.mesh import Mesh
 from degenmfem.nonlinearity import NonlinearitySpec, RegularizationSpec, b_value
 from degenmfem.schemes import (
     SCHEME_KINDS,
     SchemeConfig,
     StoppingCriterion,
-    TimeStepResult,
-    hl_iterate,
+    hl_iterate,  # noqa: F401 (see above)
+    march,
     run_time_series,
     series_converged,
     total_iterations,
@@ -54,6 +56,12 @@ GRID_EPS = (1e-3, 1e-4, 1e-5)
 GRID_TAU = (0.05, 0.025, 0.0125)
 
 CSV_HEADER = "scheme,tol,eps,tau,L,total_iterations,per_step,converged"
+
+# The reference stage: increment threshold, the TOL its starting L is
+# selected for, and how often a failing step may quadruple L.
+REFERENCE_INCREMENT_TOL = 1e-10
+REFERENCE_SELECTION_TOL = 1e-5
+REFERENCE_ESCALATIONS = 8
 
 
 class ReferenceConvergenceError(Exception):
@@ -116,67 +124,45 @@ def steps_for_tau(msol: ManufacturedSolution, tau: float) -> int:
 
 
 def compute_reference(mesh, forms, tau, n_steps, msol=DEFAULT_SOLUTION,
-                      increment_tol=1e-10, selection_tol=1e-5,
-                      max_iterations=200_000, max_escalations=8):
+                      max_iterations=200_000):
     """High-accuracy solution of the nonlinear discrete systems per step.
 
     Runs the Holder L-scheme (chosen to avoid regularization error) in
     increment-stopping mode: a step ends once both the absolute sum
     ||du|| + ||dq|| and the relative sum ||du||/||u|| + ||dq||/||q||
-    fall below ``increment_tol``.  The stabilization L starts from the
-    tolerance-driven selection at ``selection_tol``; see the benchmark
-    notes in the README for why a moderate L paired with a tight
-    increment threshold gives a far more accurate oracle than a huge L
-    at a loose threshold.
+    fall below ``REFERENCE_INCREMENT_TOL``.  The stabilization L starts
+    from the tolerance-driven selection at ``REFERENCE_SELECTION_TOL``;
+    see the benchmark notes in the README for why a moderate L paired
+    with a tight increment threshold gives a far more accurate oracle
+    than a huge L at a loose threshold.
 
     When a step's exact solution puts a cell value inside (0, 1/(16 L^2)),
     the raw Holder iteration is locally expansive there (b' > 2L) and the
     increments saw-tooth at the b(u)/L scale instead of vanishing; such a
-    stalled step is retried with L quadrupled (up to ``max_escalations``
-    times), which exits the cycling regime while converging to the same
-    fixed point.
+    stalled step is retried with L quadrupled (up to
+    ``REFERENCE_ESCALATIONS`` times, by ``schemes.march``), which exits
+    the cycling regime while converging to the same fixed point.
 
     Returns the list of TimeStepResult; raises ReferenceConvergenceError
     if any step fails after all retries (fatal for the whole experiment).
     """
     spec = msol.nonlinearity()
-    consts = TheoryConstants.for_unit_square(spec)
-    _, base_l = select_delta(selection_tol, tau, consts)
-    stopping = StoppingCriterion(mode="increment", tol=increment_tol)
-    u0 = project_scalar(mesh, msol.initial)
-    source = make_source_provider(mesh, msol)
-
-    factorizations = {}
-
-    def factors_for(big_l):
-        if big_l not in factorizations:
-            system = assemble(forms, big_l, tau)
-            factorizations[big_l] = (system, factorize(system))
-        return factorizations[big_l]
-
-    results = []
-    u_prev = u0
-    for n in range(1, n_steps + 1):
-        t_n, t_prev = n * tau, (n - 1) * tau
-        f_n = source(t_n, t_prev)
-        b_prev = b_value(spec, u_prev)
-        big_l = float(base_l)
-        for _ in range(max_escalations + 1):
-            config = SchemeConfig(kind="hl", tau=tau, stopping=stopping,
-                                  nonlinearity=spec, L=big_l,
-                                  max_iterations=max_iterations)
-            system, fact = factors_for(big_l)
-            u, q, report = hl_iterate(forms, config, b_prev, u_prev, f_n,
-                                      system, fact)
-            if report.converged:
-                break
-            big_l *= 4.0
-        if not report.converged:
-            raise ReferenceConvergenceError(
-                f"reference run (tau={tau}) failed at step {n} even with "
-                f"L escalated to {big_l / 4:g}: {report.failure_reason}")
-        results.append(TimeStepResult(n, t_n, u, q, report))
-        u_prev = u
+    _, base_l = select_delta(REFERENCE_SELECTION_TOL, tau,
+                             TheoryConstants.for_unit_square(spec))
+    config = SchemeConfig(
+        kind="hl", tau=tau,
+        stopping=StoppingCriterion(mode="increment",
+                                   tol=REFERENCE_INCREMENT_TOL),
+        nonlinearity=spec, L=float(base_l), max_iterations=max_iterations)
+    results = march(config, forms, project_scalar(mesh, msol.initial),
+                    make_source_provider(mesh, msol), n_steps,
+                    escalations=REFERENCE_ESCALATIONS)
+    if not series_converged(results, n_steps):
+        last_l = config.L * 4.0 ** REFERENCE_ESCALATIONS
+        raise ReferenceConvergenceError(
+            f"reference run (tau={tau}) failed at step {results[-1].step} "
+            f"even with L escalated to {last_l:g}: "
+            f"{results[-1].report.failure_reason}")
     return results
 
 

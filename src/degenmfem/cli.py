@@ -121,21 +121,21 @@ def _run_solve(args) -> int:
     else:
         if args.eps is None:
             _usage_error(f"--eps is required for the {args.scheme} scheme")
-        if args.eps <= 0:
-            _usage_error("--eps must be positive")
-    if args.scheme == "newton" and args.L is not None:
-        _usage_error("the newton scheme takes no --L")
+    msol = DEFAULT_SOLUTION
+    # A bad --L, --eps or --shift is rejected before the reference run.
+    try:
+        config = scheme_config(args.scheme, args.tol, args.tau, args.eps,
+                               msol, args.L, args.reg_kind, args.shift)
+    except ValueError as exc:
+        _usage_error(str(exc))
 
     out_dir = Path(args.out if args.out is not None else _default_out())
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    msol = DEFAULT_SOLUTION
     mesh = build_structured_unit_square(args.n)
     forms = assemble_forms(mesh, msol.boundary_value)
 
     reference = compute_reference(mesh, forms, args.tau, args.steps, msol)
-    config = scheme_config(args.scheme, args.tol, args.tau, args.eps, msol,
-                           args.L, args.reg_kind, args.shift)
 
     u0 = project_scalar(mesh, msol.initial)
     source = make_source_provider(mesh, msol)

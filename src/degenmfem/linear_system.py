@@ -13,8 +13,8 @@ since M is symmetric positive definite and B has full row rank.
 
 Systems are factorized once with a sparse direct LU decomposition and
 the factorization reused across solves; each factorization keeps the
-system it was built from and rejects solves against other (weights,
-tau), so L-type schemes keep one factorization for a whole run while
+system it was built from, so L-type schemes keep one factorization for a
+whole run (the step loop rejects one built for another (L, tau)) while
 Newton must refactorize every iteration.
 
 A ``Factorization`` is immutable; solves are pure functions of
@@ -37,8 +37,8 @@ class SingularSystemError(Exception):
 
 
 class StaleFactorizationError(Exception):
-    """A factorization was used against a system with different
-    (weights, tau) than it was built from."""
+    """A step was given a factorization built for different (weights,
+    tau) than its own; raised by ``schemes.linearized_iterate``."""
 
 
 @dataclass(frozen=True)
@@ -103,19 +103,9 @@ def factorize(system: SaddleSystem) -> Factorization:
     return Factorization(lu, system)
 
 
-def solve(fact: Factorization, rhs_scalar, rhs_flux, check_against=None):
-    """Solve for (u, q) given per-cell and per-edge right-hand sides.
-
-    If ``check_against`` is a SaddleSystem, a factorization built for
-    another system with different (weights, tau) is rejected.
-    """
-    own = fact.system
-    if check_against is not None and check_against is not own and not (
-            check_against.tau == own.tau
-            and np.array_equal(check_against.weights, own.weights)):
-        raise StaleFactorizationError(
-            "factorization was built for different (weights, tau)")
-    nc, ne = own.num_cells, own.num_edges
+def solve(fact: Factorization, rhs_scalar, rhs_flux):
+    """Solve for (u, q) given per-cell and per-edge right-hand sides."""
+    nc, ne = fact.system.num_cells, fact.system.num_edges
     rhs_scalar = np.asarray(rhs_scalar, dtype=float)
     rhs_flux = np.asarray(rhs_flux, dtype=float)
     if rhs_scalar.shape != (nc,):

@@ -148,27 +148,16 @@ def build_structured_unit_square(n: int) -> Mesh:
     ) / lengths_local[:, :, None]
 
     # Global edge normal: outward normal of the lowest-numbered adjacent
-    # cell (boundary edges have only one).  Signs follow.
-    first_cell = np.full(ne, -1, dtype=np.int64)
-    adjacency_count = np.zeros(ne, dtype=np.int64)
-    for c in range(nc):
-        for k in range(3):
-            e = cell_edges[c, k]
-            adjacency_count[e] += 1
-            if first_cell[e] < 0:
-                first_cell[e] = c  # cells are visited in increasing order
-
-    edge_normals = np.empty((ne, 2))
-    for c in range(nc):
-        for k in range(3):
-            e = cell_edges[c, k]
-            if first_cell[e] == c:
-                edge_normals[e] = outward[c, k]
+    # cell (boundary edges have only one), i.e. of the edge's first
+    # occurrence in the cell-major ``cell_edges``.  Signs follow.
+    _, first = np.unique(cell_edges.ravel(), return_index=True)
+    edge_normals = outward.reshape(-1, 2)[first]
 
     dots = np.einsum("ckd,ckd->ck", outward, edge_normals[cell_edges])
     cell_edge_signs = np.where(dots > 0.0, 1, -1).astype(np.int64)
 
-    boundary_edges = np.flatnonzero(adjacency_count == 1)
+    boundary_edges = np.flatnonzero(
+        np.bincount(cell_edges.ravel(), minlength=ne) == 1)
 
     ev = vertices[edges]
     edge_midpoints = 0.5 * (ev[:, 0, :] + ev[:, 1, :])

@@ -23,7 +23,9 @@ per-cell linearization weight:
 With a constant weight one matrix factorization serves all iterations of
 all time steps; Newton's weights change, so it reassembles and
 refactorizes every iteration.  The source functional <f, w> is carried
-on the right-hand side of every scheme.
+on the right-hand side of every scheme.  ``march`` is the one time-step
+loop: the series driver and the benchmark's reference stage both call
+it, and it holds the factorizations the constant-weight steps share.
 
 Stopping is either ``against_reference`` (L2 distance of the scalar
 iterate to a supplied reference field drops below TOL; flux error is
@@ -45,6 +47,7 @@ import numpy as np
 from degenmfem.fem import AssembledForms, l2_norm_flux, l2_norm_scalar
 from degenmfem.linear_system import (
     SingularSystemError,
+    StaleFactorizationError,
     assemble,
     factorize,
     solve,
@@ -221,7 +224,7 @@ class _Stopping:
 
 
 def linearized_iterate(forms, config, storage_fn, weights_fn, storage_prev,
-                       u_init, f_n, system=None, fact=None):
+                       u_init, f_n, fact=None):
     """One time step of the linearized iteration shared by all schemes.
 
     ``storage_fn`` may be any monotone increasing, Holder continuous
@@ -231,17 +234,20 @@ def linearized_iterate(forms, config, storage_fn, weights_fn, storage_prev,
 
     With ``weights_fn`` None the weight is the constant ``config.L`` and
     the system (weights L, step tau) is assembled and factorized once
-    unless supplied.  Otherwise the per-cell weights ``weights_fn(u)``
-    of the current iterate are assembled and factorized every iteration.
-    A singular system is reported as non-convergence, not raised.
+    unless ``fact`` supplies it; a factorization built for another
+    (L, tau) raises StaleFactorizationError.  Otherwise the per-cell
+    weights ``weights_fn(u)`` of the current iterate are assembled and
+    factorized every iteration.  A singular system is reported as
+    non-convergence, not raised.
     """
     tau = config.tau
     if weights_fn is None:
         w = config.L
-        if system is None:
-            system = assemble(forms, w, tau)
         if fact is None:
-            fact = factorize(system)
+            fact = factorize(assemble(forms, w, tau))
+        elif fact.system.tau != tau or np.any(fact.system.weights != w):
+            raise StaleFactorizationError(
+                f"factorization was not built for (L, tau) = ({w:g}, {tau:g})")
     areas = forms.scalar_mass
     base = areas * (np.asarray(storage_prev, dtype=float) + tau * np.asarray(f_n, dtype=float))
     rhs_flux = forms.dirichlet_functional
@@ -260,10 +266,9 @@ def linearized_iterate(forms, config, storage_fn, weights_fn, storage_prev,
         try:
             if weights_fn is not None:
                 w = weights_fn(u)
-                system = assemble(forms, w, tau)
-                fact = factorize(system)
+                fact = factorize(assemble(forms, w, tau))
             rhs_scalar = areas * (w * u - storage_fn(u)) + base
-            u_new, q_new = solve(fact, rhs_scalar, rhs_flux, check_against=system)
+            u_new, q_new = solve(fact, rhs_scalar, rhs_flux)
         except SingularSystemError:
             reason = "singular system"
             break
@@ -289,7 +294,7 @@ def _check_kind(config, kind):
         raise ValueError(f"expected a {kind!r} config, got {config.kind!r}")
 
 
-def hl_iterate(forms, config, b_prev, u_init, f_n, system=None, fact=None):
+def hl_iterate(forms, config, b_prev, u_init, f_n, fact=None):
     """One time step of the Holder-adapted L-scheme (no regularization).
 
     Parameters
@@ -299,9 +304,8 @@ def hl_iterate(forms, config, b_prev, u_init, f_n, system=None, fact=None):
     b_prev : per-cell values of b(u^{n-1})
     u_init : initial iterate, normally the previous time-step solution
     f_n : per-cell source density at the new time level
-    system, fact : optional preassembled saddle system and factorization
-        (weights L, step tau), reused across time steps by the series
-        driver
+    fact : optional factorization of the system (weights L, step tau),
+        shared across time steps by ``march``
 
     Returns
     -------
@@ -309,11 +313,10 @@ def hl_iterate(forms, config, b_prev, u_init, f_n, system=None, fact=None):
     """
     _check_kind(config, "hl")
     return linearized_iterate(forms, config, config.storage_function(), None,
-                              b_prev, u_init, f_n, system, fact)
+                              b_prev, u_init, f_n, fact)
 
 
-def regularized_l_iterate(forms, config, beps_prev, u_init, f_n,
-                          system=None, fact=None):
+def regularized_l_iterate(forms, config, beps_prev, u_init, f_n, fact=None):
     """One time step of the standard L-scheme on the regularized problem.
 
     Identical loop to ``hl_iterate`` with b replaced by b_eps everywhere;
@@ -321,7 +324,7 @@ def regularized_l_iterate(forms, config, beps_prev, u_init, f_n,
     """
     _check_kind(config, "lreg")
     return linearized_iterate(forms, config, config.storage_function(), None,
-                              beps_prev, u_init, f_n, system, fact)
+                              beps_prev, u_init, f_n, fact)
 
 
 def newton_iterate(forms, config, beps_prev, u_init, f_n):
@@ -337,48 +340,37 @@ def newton_iterate(forms, config, beps_prev, u_init, f_n):
                               beps_prev, u_init, f_n)
 
 
-def run_time_series(config, mesh, forms, u0, source_fn, n_steps,
-                    references=None, abort_on_failure=True):
+def march(config, forms, u0, source_fn, n_steps, references=None,
+          escalations=0):
     """March n_steps backward Euler steps of constant size tau.
 
     Each step feeds the previous solution as the initial guess and as
-    the b(u^{n-1}) right-hand-side term.  ``source_fn(t_n, t_prev)``
-    must return the per-cell source density for the step ending at t_n.
-    For against_reference stopping, ``references`` supplies one
-    (u_ref, q_ref) pair per step unless the criterion already carries a
-    reference.
+    the storage right-hand-side term; ``source_fn(t_n, t_prev)`` returns
+    the per-cell source density for the step ending at t_n, and
+    ``references`` (if given) one (u_ref, q_ref) stopping pair per step.
+    The driver of ``config.kind`` is looked up on this module per call,
+    so a driver replaced on the module is the one run.
 
-    By default the series aborts at the first non-converged step (the
-    whole run is then reported nc by the benchmark); pass
-    ``abort_on_failure=False`` to continue regardless.
+    A constant-L step that fails is retried with L quadrupled, up to
+    ``escalations`` times; the next step starts again from
+    ``config.L``.  One factorization per L serves the whole march.  The
+    march stops at the first step that still fails.
 
     Returns a list of TimeStepResult, one per executed step.
     """
-    if config.stopping.mode == "against_reference" and references is None \
-            and config.stopping.reference is None:
-        raise ValueError("series with against_reference stopping needs "
-                         "per-step references")
-    if references is not None and len(references) < n_steps:
-        raise ValueError(f"need {n_steps} references, got {len(references)}")
-
+    if escalations and config.kind == "newton":
+        raise ValueError("only a constant L can be escalated")
     storage_fn = config.storage_function()
-    # Looked up per call, so a driver replaced on the module is the one run.
     iterate = {"hl": hl_iterate, "lreg": regularized_l_iterate,
                "newton": newton_iterate}[config.kind]
-    # The L-type schemes share one factorization across all steps.
-    factors = ()
-    if config.kind != "newton":
-        system = assemble(forms, config.L, config.tau)
-        factors = (system, factorize(system))
+    factorizations = {}
 
     results = []
     u_prev = np.asarray(u0, dtype=float)
     for n in range(1, n_steps + 1):
         t_n = n * config.tau
-        t_prev = (n - 1) * config.tau
-        f_n = source_fn(t_n, t_prev)
+        f_n = source_fn(t_n, (n - 1) * config.tau)
         storage_prev = storage_fn(u_prev)
-
         step_config = config
         if references is not None:
             u_ref, q_ref = references[n - 1]
@@ -387,15 +379,43 @@ def run_time_series(config, mesh, forms, u0, source_fn, n_steps,
                 stopping=replace(config.stopping, reference=u_ref,
                                  flux_reference=q_ref),
             )
-
-        u, q, report = iterate(forms, step_config, storage_prev, u_prev, f_n,
-                               *factors)
-
+        for attempt in range(escalations + 1):
+            if attempt:
+                step_config = replace(step_config, L=4.0 * step_config.L)
+            fact = ()
+            if config.kind != "newton":
+                big_l = step_config.L
+                if big_l not in factorizations:
+                    factorizations[big_l] = factorize(
+                        assemble(forms, big_l, config.tau))
+                fact = (factorizations[big_l],)
+            u, q, report = iterate(forms, step_config, storage_prev, u_prev,
+                                   f_n, *fact)
+            if report.converged:
+                break
         results.append(TimeStepResult(n, t_n, u, q, report))
-        if not report.converged and abort_on_failure:
+        if not report.converged:
             break
         u_prev = u
     return results
+
+
+def run_time_series(config, mesh, forms, u0, source_fn, n_steps,
+                    references=None):
+    """March n_steps steps of one scheme without L escalation.
+
+    For against_reference stopping, ``references`` supplies one
+    (u_ref, q_ref) pair per step unless the criterion already carries a
+    reference.  The series stops at the first non-converged step (the
+    whole run is then reported nc by the benchmark).  See ``march``.
+    """
+    if config.stopping.mode == "against_reference" and references is None \
+            and config.stopping.reference is None:
+        raise ValueError("series with against_reference stopping needs "
+                         "per-step references")
+    if references is not None and len(references) < n_steps:
+        raise ValueError(f"need {n_steps} references, got {len(references)}")
+    return march(config, forms, u0, source_fn, n_steps, references)
 
 
 def total_iterations(results) -> int:

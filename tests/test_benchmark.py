@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import degenmfem.schemes as schemes
 from degenmfem.benchmark import (
     DEFAULT_SOLUTION,
     ExperimentResult,
@@ -114,6 +117,42 @@ def test_reference_failure_is_fatal(small_problem):
     mesh, forms = small_problem
     with pytest.raises(ReferenceConvergenceError):
         compute_reference(mesh, forms, 0.25, 2, max_iterations=3)
+
+
+def test_reference_escalation_goes_through_module_names(small_problem,
+                                                        monkeypatch):
+    # The per-layer tracer counts reference steps, escalations and
+    # factorizations through these module names: one driver call per
+    # attempt, and one assembly and factorization per distinct L.
+    mesh, forms = small_problem
+    calls = {"hl_iterate": [], "assemble": [], "factorize": []}
+    original = {name: getattr(schemes, name) for name in calls}
+
+    def hl_iterate(forms, config, *args):
+        calls["hl_iterate"].append(config.L)
+        u, q, report = original["hl_iterate"](forms, config, *args)
+        if len(calls["hl_iterate"]) == 1:
+            report = replace(report, converged=False,
+                             failure_reason="max_iterations")
+        return u, q, report
+
+    def assemble(forms, weights, tau):
+        calls["assemble"].append(weights)
+        return original["assemble"](forms, weights, tau)
+
+    def factorize(system):
+        calls["factorize"].append(system.weights[0])
+        return original["factorize"](system)
+
+    for name, fn in (("hl_iterate", hl_iterate), ("assemble", assemble),
+                     ("factorize", factorize)):
+        monkeypatch.setattr(schemes, name, fn)
+    ref = compute_reference(mesh, forms, 0.25, 2)
+    base = calls["hl_iterate"][0]
+    assert calls["hl_iterate"] == [base, 4.0 * base, base]
+    assert calls["assemble"] == [base, 4.0 * base]
+    assert calls["factorize"] == [base, 4.0 * base]
+    assert [r.report.converged for r in ref] == [True, True]
 
 
 def test_reference_fields_shapes(small_problem):

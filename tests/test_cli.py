@@ -47,6 +47,13 @@ def test_theory_with_eps(capsys):
         ["solve", "--scheme", "hl", "--n", "0", "--tau", "0.25",
          "--steps", "2", "--tol", "1e-3"],
         ["theory", "--tol", "1e-3", "--tau", "0.05", "--alpha", "1.0"],
+        # rejected by the scheme config, before the reference run
+        ["solve", "--scheme", "hl", "--n", "2", "--tau", "0.25",
+         "--steps", "2", "--tol", "1e-3", "--L", "-1"],
+        ["solve", "--scheme", "lreg", "--n", "2", "--tau", "0.25",
+         "--steps", "2", "--tol", "1e-3", "--eps", "1e-3", "--L", "0"],
+        ["solve", "--scheme", "lreg", "--n", "2", "--tau", "0.25",
+         "--steps", "2", "--tol", "1e-3", "--eps", "1e-3", "--shift", "-0.5"],
     ],
 )
 def test_usage_errors_exit_1(argv):

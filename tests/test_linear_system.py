@@ -10,6 +10,8 @@ from degenmfem.linear_system import (
     solve,
 )
 from degenmfem.mesh import build_structured_unit_square
+from degenmfem.nonlinearity import NonlinearitySpec
+from degenmfem.schemes import SchemeConfig, StoppingCriterion, hl_iterate
 
 
 @pytest.fixture(scope="module")
@@ -107,17 +109,23 @@ def test_repeated_solves_bit_identical(forms2):
 
 
 def test_stale_factorization_rejected(forms2):
-    system_a = assemble(forms2, 1.0, 0.5)
-    system_b = assemble(forms2, 2.0, 0.5)
-    fact_a = factorize(system_a)
-    rhs_s = np.zeros(system_a.num_cells)
-    rhs_f = np.zeros(system_a.num_edges)
-    solve(fact_a, rhs_s, rhs_f, check_against=system_a)
-    with pytest.raises(StaleFactorizationError):
-        solve(fact_a, rhs_s, rhs_f, check_against=system_b)
-    # Same (weights, tau) assembled twice gives a matching tag.
-    system_a2 = assemble(forms2, 1.0, 0.5)
-    solve(fact_a, rhs_s, rhs_f, check_against=system_a2)
+    # The step checks a supplied factorization against its own (L, tau)
+    # once, before iterating.
+    config = SchemeConfig(
+        kind="hl", tau=0.5,
+        stopping=StoppingCriterion(mode="increment", tol=1e-8),
+        nonlinearity=NonlinearitySpec(alpha=0.5), L=1.0)
+    u = np.full(forms2.num_cells, 0.5)
+    f = np.zeros(forms2.num_cells)
+    b_prev = np.sqrt(u)
+    for weights, tau in ((2.0, 0.5), (1.0, 0.25)):
+        with pytest.raises(StaleFactorizationError):
+            hl_iterate(forms2, config, b_prev, u, f,
+                       factorize(assemble(forms2, weights, tau)))
+    # The same (weights, tau) assembled anew is accepted.
+    _, _, report = hl_iterate(forms2, config, b_prev, u, f,
+                              factorize(assemble(forms2, 1.0, 0.5)))
+    assert report.converged
 
 
 def test_rhs_shape_validation(forms1):
