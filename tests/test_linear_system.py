@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from degenmfem.fem import assemble_forms
+from degenmfem.benchmark import DEFAULT_SOLUTION
+from degenmfem.fem import assemble_forms, project_scalar
 from degenmfem.linear_system import (
     StaleFactorizationError,
     assemble,
@@ -10,7 +11,11 @@ from degenmfem.linear_system import (
     solve,
 )
 from degenmfem.mesh import build_structured_unit_square
-from degenmfem.nonlinearity import NonlinearitySpec
+from degenmfem.nonlinearity import (
+    NonlinearitySpec,
+    RegularizationSpec,
+    b_eps_prime,
+)
 from degenmfem.schemes import SchemeConfig, StoppingCriterion, hl_iterate
 
 
@@ -94,6 +99,56 @@ def test_matches_dense_oracle(forms1):
     dense = np.linalg.solve(system.matrix.toarray(),
                             np.concatenate([rhs_s, rhs_f]))
     np.testing.assert_allclose(np.concatenate([u, q]), dense, atol=1e-12)
+
+
+def _weights(pattern, forms, rng):
+    nc = forms.num_cells
+    if pattern == "positive":
+        return rng.uniform(0.1, 3.0, size=nc)
+    if pattern == "zero":
+        return np.zeros(nc)
+    if pattern == "tiny":
+        # Subnormal weights, whose reciprocals overflow, act as zero.
+        return np.full(nc, 1e-320)
+    if pattern == "mixed":
+        weights = rng.uniform(0.1, 3.0, size=nc)
+        weights[rng.permutation(nc)[: max(1, nc // 2)]] = 0.0
+        return weights
+    # Newton's weights b'_eps(u) at the manufactured solution, t = 0.25:
+    # zero on the dry cells u < 0, positive elsewhere.
+    reg = RegularizationSpec(kind="linear", epsilon=1e-3,
+                             base=DEFAULT_SOLUTION.nonlinearity())
+    u = project_scalar(forms.mesh,
+                       lambda x, y: DEFAULT_SOLUTION.exact(0.25, x, y))
+    weights = b_eps_prime(reg, u)
+    assert 0 < np.count_nonzero(weights == 0.0) < nc
+    return weights
+
+
+@pytest.mark.parametrize("n, pattern", [
+    *((n, p) for n in (1, 2, 4, 8)
+      for p in ("positive", "zero", "tiny", "mixed")),
+    (8, "newton"),
+])
+def test_reduced_solve_matches_dense_oracle(n, pattern):
+    # The reduced solve against dense elimination on the full block
+    # matrix; cells of zero weight stay in the factorized matrix, all
+    # others are eliminated.
+    forms = assemble_forms(build_structured_unit_square(n), -0.5)
+    rng = np.random.default_rng(100 + n)
+    weights = _weights(pattern, forms, rng)
+    system = assemble(forms, weights, 0.05)
+    fact = factorize(system)
+    num_zero = (forms.num_cells if pattern == "tiny"
+                else np.count_nonzero(weights == 0.0))
+    assert fact.lu.shape[0] == forms.num_edges + num_zero
+    rhs_s = rng.normal(size=forms.num_cells)
+    rhs_f = rng.normal(size=forms.num_edges)
+    u, q = solve(fact, rhs_s, rhs_f)
+    dense = np.linalg.solve(system.matrix.toarray(),
+                            np.concatenate([rhs_s, rhs_f]))
+    np.testing.assert_allclose(u, dense[: forms.num_cells], atol=1e-9)
+    np.testing.assert_allclose(q, dense[forms.num_cells:], atol=1e-9)
 
 
 def test_repeated_solves_bit_identical(forms2):
