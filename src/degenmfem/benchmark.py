@@ -49,7 +49,7 @@ from degenmfem.schemes import (
     series_converged,
     total_iterations,
 )
-from degenmfem.theory import TheoryConstants, select_L_regularized, select_delta
+from degenmfem.theory import select_L_regularized, select_delta
 
 GRID_TOL = (1e-3, 1e-4, 1e-5)
 GRID_EPS = (1e-3, 1e-4, 1e-5)
@@ -58,10 +58,12 @@ GRID_TAU = (0.05, 0.025, 0.0125)
 CSV_HEADER = "scheme,tol,eps,tau,L,total_iterations,per_step,converged"
 
 # The reference stage: increment threshold, the TOL its starting L is
-# selected for, and how often a failing step may quadruple L.
+# selected for, how often a failing step may quadruple L, and the
+# iteration cap of each attempt.
 REFERENCE_INCREMENT_TOL = 1e-10
 REFERENCE_SELECTION_TOL = 1e-5
 REFERENCE_ESCALATIONS = 8
+REFERENCE_MAX_ITERATIONS = 200_000
 
 
 class ReferenceConvergenceError(Exception):
@@ -123,14 +125,14 @@ def steps_for_tau(msol: ManufacturedSolution, tau: float) -> int:
     return n_steps
 
 
-def compute_reference(mesh, forms, tau, n_steps, msol=DEFAULT_SOLUTION,
-                      max_iterations=200_000):
+def compute_reference(mesh, forms, tau, n_steps, msol=DEFAULT_SOLUTION):
     """High-accuracy solution of the nonlinear discrete systems per step.
 
     Runs the Holder L-scheme (chosen to avoid regularization error) in
     increment-stopping mode: a step ends once both the absolute sum
     ||du|| + ||dq|| and the relative sum ||du||/||u|| + ||dq||/||q||
-    fall below ``REFERENCE_INCREMENT_TOL``.  The stabilization L starts
+    fall below ``REFERENCE_INCREMENT_TOL`` within
+    ``REFERENCE_MAX_ITERATIONS`` iterations.  The stabilization L starts
     from the tolerance-driven selection at ``REFERENCE_SELECTION_TOL``;
     see the benchmark notes in the README for why a moderate L paired
     with a tight increment threshold gives a far more accurate oracle
@@ -147,13 +149,13 @@ def compute_reference(mesh, forms, tau, n_steps, msol=DEFAULT_SOLUTION,
     if any step fails after all retries (fatal for the whole experiment).
     """
     spec = msol.nonlinearity()
-    _, base_l = select_delta(REFERENCE_SELECTION_TOL, tau,
-                             TheoryConstants.for_unit_square(spec))
+    _, base_l = select_delta(REFERENCE_SELECTION_TOL, tau, spec)
     config = SchemeConfig(
         kind="hl", tau=tau,
         stopping=StoppingCriterion(mode="increment",
                                    tol=REFERENCE_INCREMENT_TOL),
-        nonlinearity=spec, L=float(base_l), max_iterations=max_iterations)
+        nonlinearity=spec, L=float(base_l),
+        max_iterations=REFERENCE_MAX_ITERATIONS)
     results = march(config, forms, project_scalar(mesh, msol.initial),
                     make_source_provider(mesh, msol), n_steps,
                     escalations=REFERENCE_ESCALATIONS)
@@ -164,11 +166,6 @@ def compute_reference(mesh, forms, tau, n_steps, msol=DEFAULT_SOLUTION,
             f"even with L escalated to {last_l:g}: "
             f"{results[-1].report.failure_reason}")
     return results
-
-
-def reference_fields(results):
-    """Strip a reference series to the (u, q) pairs the schemes stop against."""
-    return [(r.u, r.q) for r in results]
 
 
 @dataclass(frozen=True)
@@ -193,17 +190,21 @@ def scheme_config(kind, tol, tau, eps=None, msol=DEFAULT_SOLUTION, L=None,
     Unless ``L`` is given, the hl scheme takes it from the
     tolerance-driven selection and the regularized L-scheme from the
     eps-driven one; Newton takes none.  ``eps``, ``reg_kind`` and
-    ``shift`` define the regularization of lreg and newton.
+    ``shift`` define the regularization of lreg and newton; a missing
+    ``eps``, or an ``eps`` or ``shift`` given to hl, is a ValueError.
     """
     spec = msol.nonlinearity()
     stopping = StoppingCriterion(mode="against_reference", tol=tol)
+    reg = None
+    if kind != "hl" or eps is not None or shift:
+        reg = RegularizationSpec(kind=reg_kind, epsilon=eps, base=spec,
+                                 shift=shift)
     if kind == "hl":
         if L is None:
-            _, L = select_delta(tol, tau, TheoryConstants.for_unit_square(spec))
+            _, L = select_delta(tol, tau, spec)
         return SchemeConfig(kind="hl", tau=tau, stopping=stopping,
-                            nonlinearity=spec, L=float(L))
-    reg = RegularizationSpec(kind=reg_kind, epsilon=eps, base=spec,
-                             shift=shift)
+                            nonlinearity=spec, regularization=reg,
+                            L=float(L))
     if kind == "lreg" and L is None:
         L = select_L_regularized(eps, spec)
     return SchemeConfig(kind=kind, tau=tau, stopping=stopping,
@@ -227,8 +228,9 @@ def run_table(kind, mesh, forms, references_by_tau, msol=DEFAULT_SOLUTION,
               tols=GRID_TOL, epses=GRID_EPS, taus=GRID_TAU):
     """Map one scheme over the benchmark grid.
 
-    ``references_by_tau`` maps each tau to the per-step (u, q) reference
-    pairs.  The hl scheme has no eps axis; its L comes from the
+    ``references_by_tau`` maps each tau to its ``compute_reference``
+    series; runs stop against its scalar fields and record no flux
+    error.  The hl scheme has no eps axis; its L comes from the
     tolerance-driven selection, while the regularized L-scheme uses the
     eps-driven value.  Per-cell non-convergence is recorded in the
     result row, never raised.
@@ -246,9 +248,9 @@ def run_table(kind, mesh, forms, references_by_tau, msol=DEFAULT_SOLUTION,
     for tol, eps, tau in itertools.product(tols, eps_axis, taus):
         n_steps = steps_for_tau(msol, tau)
         config = scheme_config(kind, tol, tau, eps, msol)
+        references = [(r.u, None) for r in references_by_tau[tau]]
         series = run_time_series(config, mesh, forms, u0, source, n_steps,
-                                 references=reference_fields(
-                                     references_by_tau[tau]))
+                                 references=references)
         results.append(experiment_row(config, eps, series, n_steps))
     return results
 

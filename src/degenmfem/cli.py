@@ -30,7 +30,6 @@ from degenmfem.benchmark import (
     compute_reference,
     experiment_row,
     make_source_provider,
-    reference_fields,
     render_summary,
     run_table,
     scheme_config,
@@ -41,7 +40,6 @@ from degenmfem.mesh import build_structured_unit_square
 from degenmfem.nonlinearity import NonlinearitySpec
 from degenmfem.schemes import SCHEME_KINDS, run_time_series, total_iterations
 from degenmfem.theory import (
-    TheoryConstants,
     accumulated_error_bound,
     c_alpha,
     contraction_factor,
@@ -110,19 +108,11 @@ def build_parser():
 def _run_solve(args) -> int:
     if args.n < 1:
         _usage_error("--n must be >= 1")
-    if args.tau <= 0 or args.steps < 1 or args.tol <= 0:
-        _usage_error("--tau, --steps and --tol must be positive")
-    if args.scheme == "hl":
-        if args.eps is not None:
-            _usage_error("--eps is only valid for lreg and newton (the hl "
-                         "scheme uses no regularization)")
-        if args.shift:
-            _usage_error("--shift requires a regularized scheme")
-    else:
-        if args.eps is None:
-            _usage_error(f"--eps is required for the {args.scheme} scheme")
+    if args.steps < 1:
+        _usage_error("--steps must be >= 1")
     msol = DEFAULT_SOLUTION
-    # A bad --L, --eps or --shift is rejected before the reference run.
+    # A bad --tau, --tol, --L, --eps or --shift, or one the scheme does
+    # not take, is rejected before the reference run.
     try:
         config = scheme_config(args.scheme, args.tol, args.tau, args.eps,
                                msol, args.L, args.reg_kind, args.shift)
@@ -140,7 +130,7 @@ def _run_solve(args) -> int:
     u0 = project_scalar(mesh, msol.initial)
     source = make_source_provider(mesh, msol)
     series = run_time_series(config, mesh, forms, u0, source, args.steps,
-                             references=reference_fields(reference))
+                             references=[(r.u, None) for r in reference])
     result = experiment_row(config, args.eps, series, args.steps)
     write_results_csv(out_dir / "solve_result.csv", [result])
 
@@ -210,21 +200,20 @@ def _run_theory(args) -> int:
         _usage_error("--alpha must lie in (0, 1) for the delta selection")
     if args.tol <= 0 or args.tau <= 0:
         _usage_error("--tol and --tau must be positive")
-    consts = TheoryConstants(alpha=args.alpha)
-    delta_raw = delta_closed_form(args.tol, args.tau, consts)
-    delta, big_l = select_delta(args.tol, args.tau, consts)
+    spec = NonlinearitySpec(alpha=args.alpha)
+    delta_raw = delta_closed_form(args.tol, args.tau, spec)
+    delta, big_l = select_delta(args.tol, args.tau, spec)
     print(f"tol = {args.tol:g}, tau = {args.tau:g}, alpha = {args.alpha:g}")
-    print(f"C(alpha)            = {c_alpha(consts):.6g}")
+    print(f"C(alpha)            = {c_alpha(spec):.6g}")
     print(f"delta (closed form) = {delta_raw:.6g}")
     print(f"L = ceil(1/delta)   = {big_l}")
     print(f"delta = 1/L         = {delta:.6g}")
-    print(f"R(delta, tau)       = {contraction_factor(delta, args.tau, consts):.6g}")
-    print(f"accumulated bound   = {accumulated_error_bound(delta, args.tau, consts):.6g}"
+    print(f"R(delta, tau)       = {contraction_factor(delta, args.tau):.6g}")
+    print(f"accumulated bound   = {accumulated_error_bound(delta, args.tau, spec):.6g}"
           f"  (TOL/2 = {args.tol / 2:.6g})")
     if args.eps is not None:
         if args.eps <= 0:
             _usage_error("--eps must be positive")
-        spec = NonlinearitySpec(alpha=args.alpha)
         print(f"regularized-L value = {select_L_regularized(args.eps, spec)}"
               f"  (eps = {args.eps:g})")
     return 0

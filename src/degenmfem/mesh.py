@@ -94,50 +94,33 @@ def build_structured_unit_square(n: int) -> Mesh:
     ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="xy")
     vertices = np.column_stack([ii.ravel() / n, jj.ravel() / n]).astype(float)
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    # Edge enumeration: horizontals h(i,j)=j*n+i, then verticals, then
-    # diagonals of each square.
+    # Index grids addressed [j, i]: vertex (i, j) is vid[j, i]; the
+    # edges are enumerated horizontals h[j, i] = j*n + i, then verticals,
+    # then the diagonal of each square.
+    vid = np.arange((n + 1) ** 2, dtype=np.int64).reshape(n + 1, n + 1)
     n_h = n * (n + 1)
-    n_v = n * (n + 1)
-    n_d = n * n
-    ne = n_h + n_v + n_d
+    h_edge = np.arange(n_h, dtype=np.int64).reshape(n + 1, n)
+    v_edge = n_h + np.arange(n_h, dtype=np.int64).reshape(n, n + 1)
+    d_edge = 2 * n_h + np.arange(n * n, dtype=np.int64).reshape(n, n)
+    ne = 2 * n_h + n * n
 
-    def h_edge(i, j):
-        return j * n + i
-
-    def v_edge(i, j):
-        return n_h + j * (n + 1) + i
-
-    def d_edge(i, j):
-        return n_h + n_v + j * n + i
-
-    edges = np.empty((ne, 2), dtype=np.int64)
-    for j in range(n + 1):
-        for i in range(n):
-            edges[h_edge(i, j)] = (vid(i, j), vid(i + 1, j))
-    for j in range(n):
-        for i in range(n + 1):
-            edges[v_edge(i, j)] = (vid(i, j), vid(i, j + 1))
-    for j in range(n):
-        for i in range(n):
-            edges[d_edge(i, j)] = (vid(i, j), vid(i + 1, j + 1))
+    edges = np.concatenate([
+        np.stack([vid[:, :-1], vid[:, 1:]], axis=-1).reshape(-1, 2),
+        np.stack([vid[:-1, :], vid[1:, :]], axis=-1).reshape(-1, 2),
+        np.stack([vid[:-1, :-1], vid[1:, 1:]], axis=-1).reshape(-1, 2),
+    ])
 
     # Cells: square (i,j) gives the lower triangle 2*(j*n+i) and the upper
     # triangle 2*(j*n+i)+1, both counterclockwise.
-    nc = 2 * n * n
-    cells = np.empty((nc, 3), dtype=np.int64)
-    cell_edges = np.empty((nc, 3), dtype=np.int64)
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            c = 2 * (j * n + i)
-            cells[c] = (v00, v10, v11)
-            cell_edges[c] = (h_edge(i, j), v_edge(i + 1, j), d_edge(i, j))
-            cells[c + 1] = (v00, v11, v01)
-            cell_edges[c + 1] = (d_edge(i, j), h_edge(i, j + 1), v_edge(i, j))
+    v00, v10 = vid[:-1, :-1], vid[:-1, 1:]
+    v01, v11 = vid[1:, :-1], vid[1:, 1:]
+    cells = np.stack([np.stack([v00, v10, v11], axis=-1),
+                      np.stack([v00, v11, v01], axis=-1)],
+                     axis=2).reshape(-1, 3)
+    cell_edges = np.stack(
+        [np.stack([h_edge[:-1], v_edge[:, 1:], d_edge], axis=-1),
+         np.stack([d_edge, h_edge[1:], v_edge[:, :-1]], axis=-1)],
+        axis=2).reshape(-1, 3)
 
     # Outward normals per (cell, local edge): CCW tangent rotated by -90deg.
     pts = vertices[cells]                        # (nc, 3, 2)

@@ -26,18 +26,15 @@ class NonlinearitySpec:
     """Power-law nonlinearity b(u) = max(u, 0)^alpha.
 
     alpha : Holder exponent in (0, 1]; alpha = 1 is the Lipschitz case.
-    holder_constant : the constant L_b in |b(u)-b(v)| <= L_b |u-v|^alpha;
-        1 for the power-law family.
+        The Holder constant, |b(u)-b(v)| <= |u-v|^alpha, is 1 for every
+        alpha.
     """
 
     alpha: float
-    holder_constant: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.holder_constant <= 0.0:
-            raise ValueError("holder_constant must be positive")
 
 
 @dataclass(frozen=True)
@@ -58,8 +55,8 @@ class RegularizationSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "quadratic"):
             raise ValueError(f"kind must be 'linear' or 'quadratic', got {self.kind!r}")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if self.epsilon is None or self.epsilon <= 0.0:
+            raise ValueError(f"regularization needs epsilon > 0, got {self.epsilon}")
         if self.shift < 0.0:
             raise ValueError("shift must be >= 0")
 

@@ -28,12 +28,13 @@ loop: the series driver and the benchmark's reference stage both call
 it, and it holds the factorizations the constant-weight steps share.
 
 Stopping is either ``against_reference`` (L2 distance of the scalar
-iterate to a supplied reference field drops below TOL; flux error is
-recorded but not used to stop) or ``increment`` (both the absolute sum
-||du|| + ||dq|| and the relative sum ||du||/||u|| + ||dq||/||q|| drop
-below TOL).  Non-convergence is reported, never raised: exceeding the
-iteration cap, error blow-up past the divergence threshold, and singular
-systems are distinguished in ``IterationReport.failure_reason``.
+iterate to a supplied reference field drops below TOL; the flux error
+is recorded, never used to stop, when a flux reference is supplied) or
+``increment`` (both the absolute sum ||du|| + ||dq|| and the relative
+sum ||du||/||u|| + ||dq||/||q|| drop below TOL).  Non-convergence is
+reported, never raised: exceeding the iteration cap, error blow-up past
+``DIVERGENCE_THRESHOLD``, and singular systems are distinguished in
+``IterationReport.failure_reason``.
 
 A single time series is strictly sequential; distinct runs are
 independent and may execute in parallel against shared read-only forms.
@@ -59,15 +60,15 @@ from degenmfem.nonlinearity import (
     b_eps_prime,
     b_value,
 )
-from degenmfem.theory import (
-    TheoryConstants,
-    contraction_factor,
-    per_iteration_accumulation,
-)
+from degenmfem.theory import contraction_factor, per_iteration_accumulation
 
 SCHEME_KINDS = ("hl", "lreg", "newton")
 
 DEFAULT_MAX_ITERATIONS = {"hl": 20_000, "lreg": 20_000, "newton": 50}
+
+# Error norms beyond this (or non-finite) abort the step with
+# failure_reason "divergence".
+DIVERGENCE_THRESHOLD = 1e6
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,6 @@ class SchemeConfig:
     L : stabilization parameter (hl and lreg)
     max_iterations : per-time-step cap; defaults to 50 for Newton and
         20000 for the L-type schemes
-    divergence_threshold : error norms beyond this (or non-finite) abort
-        the step with failure_reason "divergence"
     """
 
     kind: str
@@ -117,7 +116,6 @@ class SchemeConfig:
     regularization: RegularizationSpec | None = None
     L: float | None = None
     max_iterations: int | None = None
-    divergence_threshold: float = 1e6
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
@@ -177,11 +175,10 @@ class TimeStepResult:
 class _Stopping:
     """Tracks errors/increments and decides convergence and divergence."""
 
-    def __init__(self, forms, criterion, divergence_threshold):
+    def __init__(self, forms, criterion):
         self.forms = forms
         self.mesh = forms.mesh
         self.crit = criterion
-        self.threshold = divergence_threshold
         self.error_history = []
         self.flux_error_history = (
             [] if (criterion.mode == "against_reference"
@@ -203,7 +200,7 @@ class _Stopping:
             if self.flux_error_history is not None:
                 self.flux_error_history.append(
                     l2_norm_flux(self.forms, q_new - self.crit.flux_reference))
-            if not math.isfinite(err) or err > self.threshold:
+            if not math.isfinite(err) or err > DIVERGENCE_THRESHOLD:
                 return False, True
             return err < self.crit.tol, False
 
@@ -214,7 +211,7 @@ class _Stopping:
         dq = l2_norm_flux(self.forms, q_new - q_old)
         abs_sum = du + dq
         self.error_history.append(abs_sum)
-        if not math.isfinite(abs_sum) or abs_sum > self.threshold:
+        if not math.isfinite(abs_sum) or abs_sum > DIVERGENCE_THRESHOLD:
             return False, True
         norm_u = l2_norm_scalar(self.mesh, u_new)
         norm_q = l2_norm_flux(self.forms, q_new)
@@ -252,7 +249,7 @@ def linearized_iterate(forms, config, storage_fn, weights_fn, storage_prev,
     base = areas * (np.asarray(storage_prev, dtype=float) + tau * np.asarray(f_n, dtype=float))
     rhs_flux = forms.dirichlet_functional
 
-    tracker = _Stopping(forms, config.stopping, config.divergence_threshold)
+    tracker = _Stopping(forms, config.stopping)
     u = np.array(u_init, dtype=float, copy=True)
     # The flux of the previous iterate; increments start at the second solve.
     q_prev = None
@@ -347,7 +344,8 @@ def march(config, forms, u0, source_fn, n_steps, references=None,
     Each step feeds the previous solution as the initial guess and as
     the storage right-hand-side term; ``source_fn(t_n, t_prev)`` returns
     the per-cell source density for the step ending at t_n, and
-    ``references`` (if given) one (u_ref, q_ref) stopping pair per step.
+    ``references`` (if given) one (u_ref, q_ref) stopping pair per step;
+    q_ref may be None, and then no flux error is recorded.
     The driver of ``config.kind`` is looked up on this module per call,
     so a driver replaced on the module is the one run.
 
@@ -427,7 +425,7 @@ def series_converged(results, n_steps) -> bool:
 
 
 def theorem_bound_monitor(u_errors, flux_errors, delta, tau,
-                          consts: TheoryConstants, slack=1e-7):
+                          spec: NonlinearitySpec, slack=1e-7):
     """Check the one-iteration error inequality along a recorded history.
 
     ``u_errors`` holds the scalar error norms against the reference for
@@ -443,8 +441,8 @@ def theorem_bound_monitor(u_errors, flux_errors, delta, tau,
     """
     if len(flux_errors) != len(u_errors) - 1:
         raise ValueError("flux_errors must have one entry per iteration")
-    r = contraction_factor(delta, tau, consts)
-    accumulation = per_iteration_accumulation(delta, tau, consts)
+    r = contraction_factor(delta, tau)
+    accumulation = per_iteration_accumulation(delta, tau, spec)
     checks = []
     for i in range(1, len(u_errors)):
         lhs = u_errors[i] ** 2 + tau * delta * r * flux_errors[i - 1] ** 2

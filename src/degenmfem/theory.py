@@ -14,91 +14,68 @@ most
         = 2 C(alpha) C_Omega^2 delta^((1+alpha)/(1-alpha)) / tau,
 
 so requiring this to stay below TOL/2 yields a closed form for delta
-(and L = 1/delta) from the target tolerance and the time step.  For the
-unit-square benchmark C_Omega = sigma(Omega) = 1, and for alpha = 1/2
-the selection reduces to delta = (3/2) (tau TOL)^(1/3).
+(and L = 1/delta) from the target tolerance and the time step.
+
+The bound carries three more constants: the domain's Poincare constant
+C_Omega, its measure |Omega| and the Holder constant L_b of b.  The
+benchmark's only domain is the unit square and its only storage function
+b(u) = max(u, 0)^alpha, for which all three are 1, so they are left out
+of every formula below; only alpha, taken from the NonlinearitySpec the
+quantity is about, remains.  For alpha = 1/2 the selection reduces to
+delta = (3/2) (tau TOL)^(1/3).
 
 All functions here are pure and thread-safe.
 """
 
 import math
-from dataclasses import dataclass
 
 from degenmfem.nonlinearity import NonlinearitySpec
 
 
-@dataclass(frozen=True)
-class TheoryConstants:
-    """Domain and nonlinearity constants entering the error bound.
-
-    c_omega : the inf-sup/Poincare-type constant of the domain
-    sigma_omega : the domain volume
-    alpha, holder_constant : copied from the nonlinearity
-    """
-
-    alpha: float
-    holder_constant: float = 1.0
-    c_omega: float = 1.0
-    sigma_omega: float = 1.0
-
-    def __post_init__(self):
-        if self.c_omega <= 0.0 or self.sigma_omega <= 0.0:
-            raise ValueError("c_omega and sigma_omega must be positive")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.holder_constant <= 0.0:
-            raise ValueError("holder_constant must be positive")
-
-    @classmethod
-    def for_unit_square(cls, spec: NonlinearitySpec) -> "TheoryConstants":
-        return cls(alpha=spec.alpha, holder_constant=spec.holder_constant)
-
-
-def contraction_factor(delta: float, tau: float, consts: TheoryConstants) -> float:
-    """Per-iteration contraction factor R = (1 + tau delta / C^2)^-1."""
+def contraction_factor(delta: float, tau: float) -> float:
+    """Per-iteration contraction factor R = (1 + tau delta)^-1."""
     if delta <= 0.0 or tau <= 0.0:
         raise ValueError("delta and tau must be positive")
-    return 1.0 / (1.0 + tau * delta / consts.c_omega**2)
+    return 1.0 / (1.0 + tau * delta)
 
 
-def c_alpha(consts: TheoryConstants) -> float:
+def c_alpha(spec: NonlinearitySpec) -> float:
     """The constant multiplying the accumulation term,
 
-    C(alpha) = (1-alpha)/2 (L_b (2 alpha)^alpha)^(2/(1-alpha))
-               (1+alpha)^(-(1+alpha)/(1-alpha)) sigma(Omega).
+    C(alpha) = (1-alpha)/2 ((2 alpha)^alpha)^(2/(1-alpha))
+               (1+alpha)^(-(1+alpha)/(1-alpha)).
 
     Only defined for alpha < 1 (the Lipschitz case has no accumulation).
     """
-    a, lb = consts.alpha, consts.holder_constant
+    a = spec.alpha
     if a >= 1.0:
         raise ValueError("c_alpha requires alpha in (0, 1)")
     return (
         0.5 * (1.0 - a)
-        * (lb * (2.0 * a) ** a) ** (2.0 / (1.0 - a))
+        * ((2.0 * a) ** a) ** (2.0 / (1.0 - a))
         * (1.0 + a) ** (-(1.0 + a) / (1.0 - a))
-        * consts.sigma_omega
     )
 
 
-def accumulated_error_bound(delta: float, tau: float, consts: TheoryConstants) -> float:
+def accumulated_error_bound(delta: float, tau: float,
+                            spec: NonlinearitySpec) -> float:
     """Total accumulated squared-error floor within one time step,
 
     2 C(alpha) delta^(2/(1-alpha)) R/(1-R)
-        = 2 C(alpha) C^2 delta^((1+alpha)/(1-alpha)) / tau.
+        = 2 C(alpha) delta^((1+alpha)/(1-alpha)) / tau.
     """
     if delta <= 0.0 or tau <= 0.0:
         raise ValueError("delta and tau must be positive")
-    a = consts.alpha
+    a = spec.alpha
     exponent = (1.0 + a) / (1.0 - a)
-    return 2.0 * c_alpha(consts) * consts.c_omega**2 * delta**exponent / tau
+    return 2.0 * c_alpha(spec) * delta**exponent / tau
 
 
 def per_iteration_accumulation(delta: float, tau: float,
-                               consts: TheoryConstants) -> float:
+                               spec: NonlinearitySpec) -> float:
     """The additive term 2 C(alpha) R delta^(2/(1-alpha)) of one iteration."""
-    a = consts.alpha
-    r = contraction_factor(delta, tau, consts)
-    return 2.0 * c_alpha(consts) * r * delta ** (2.0 / (1.0 - a))
+    r = contraction_factor(delta, tau)
+    return 2.0 * c_alpha(spec) * r * delta ** (2.0 / (1.0 - spec.alpha))
 
 
 def _ceil_guarded(value: float) -> int:
@@ -106,23 +83,21 @@ def _ceil_guarded(value: float) -> int:
     return int(math.ceil(value - 1e-9 * max(1.0, abs(value))))
 
 
-def delta_closed_form(tol: float, tau: float, consts: TheoryConstants) -> float:
+def delta_closed_form(tol: float, tau: float, spec: NonlinearitySpec) -> float:
     """Solve accumulated_error_bound(delta) = TOL/2 for delta,
 
-    delta = (TOL tau / (4 C(alpha) C^2))^((1-alpha)/(1+alpha)).
+    delta = (TOL tau / (4 C(alpha)))^((1-alpha)/(1+alpha)).
     """
     if tol <= 0.0 or tau <= 0.0:
         raise ValueError("tol and tau must be positive")
-    a = consts.alpha
+    a = spec.alpha
     if a >= 1.0:
         raise ValueError("delta selection requires alpha in (0, 1); any "
                          "L >= L_b works in the Lipschitz case")
-    return (
-        tol * tau / (4.0 * c_alpha(consts) * consts.c_omega**2)
-    ) ** ((1.0 - a) / (1.0 + a))
+    return (tol * tau / (4.0 * c_alpha(spec))) ** ((1.0 - a) / (1.0 + a))
 
 
-def select_delta(tol: float, tau: float, consts: TheoryConstants):
+def select_delta(tol: float, tau: float, spec: NonlinearitySpec):
     """Choose (delta, L) so the accumulated error stays below TOL/2.
 
     Uses the closed form for delta, then rounds L = 1/delta up to the
@@ -134,7 +109,7 @@ def select_delta(tol: float, tau: float, consts: TheoryConstants):
     -------
     (delta, L) : (float, int)
     """
-    delta_raw = delta_closed_form(tol, tau, consts)
+    delta_raw = delta_closed_form(tol, tau, spec)
     big_l = _ceil_guarded(1.0 / delta_raw)
     return 1.0 / big_l, big_l
 

@@ -25,7 +25,6 @@ from degenmfem.benchmark import (
     compute_reference,
     discretization_error,
     make_source_provider,
-    reference_fields,
     run_table,
     steps_for_tau,
 )
@@ -55,7 +54,6 @@ from degenmfem.schemes import (
     theorem_bound_monitor,
 )
 from degenmfem.theory import (
-    TheoryConstants,
     delta_closed_form,
     select_L_regularized,
     select_delta,
@@ -64,7 +62,6 @@ from oracle_utils import brute_force_flux_mass
 
 MSOL = DEFAULT_SOLUTION
 SPEC = MSOL.nonlinearity()
-CONSTS = TheoryConstants.for_unit_square(SPEC)
 TAUS = (0.05, 0.025, 0.0125)
 
 # Expected (delta, L) selections per (tol, tau), and L per eps.
@@ -170,8 +167,8 @@ def test_criterion_1_parameter_formulas():
     t0 = time.perf_counter()
     failures = []
     for (tol, tau), (delta_expected, l_expected) in EXPECTED_PARAMS.items():
-        raw = delta_closed_form(tol, tau, CONSTS)
-        _, big_l = select_delta(tol, tau, CONSTS)
+        raw = delta_closed_form(tol, tau, SPEC)
+        _, big_l = select_delta(tol, tau, SPEC)
         if _round2sig(raw) != delta_expected:
             failures.append(
                 f"delta(tol={tol:g}, tau={tau:g}) = {raw:.6f} -> "
@@ -260,12 +257,12 @@ def test_criterion_5_error_bound_monitor(bench):
     mesh, forms = bench["mesh"], bench["forms"]
     tau = 0.05
     tol = 1e-3
-    delta, big_l = select_delta(tol, tau, CONSTS)
+    delta, big_l = select_delta(tol, tau, SPEC)
     config = SchemeConfig(
         kind="hl", tau=tau,
         stopping=StoppingCriterion(mode="against_reference", tol=tol),
         nonlinearity=SPEC, L=float(big_l))
-    refs = reference_fields(bench["references"][tau])
+    refs = [(r.u, r.q) for r in bench["references"][tau]]
     series = run_time_series(config, mesh, forms,
                              project_scalar(mesh, MSOL.initial),
                              make_source_provider(mesh, MSOL),
@@ -276,7 +273,7 @@ def test_criterion_5_error_bound_monitor(bench):
         rep = result.report
         checks = theorem_bound_monitor(rep.error_history,
                                        rep.flux_error_history,
-                                       delta, tau, CONSTS, slack=1e-7)
+                                       delta, tau, SPEC, slack=1e-7)
         iterations += len(checks)
         for i, ok in enumerate(checks, start=1):
             if not ok:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import degenmfem.benchmark as benchmark
 import degenmfem.schemes as schemes
 from degenmfem.benchmark import (
     DEFAULT_SOLUTION,
@@ -11,10 +12,10 @@ from degenmfem.benchmark import (
     compute_reference,
     discretization_error,
     make_source_provider,
-    reference_fields,
     render_summary,
     results_to_csv,
     run_table,
+    scheme_config,
     source_term,
     steps_for_tau,
     write_results_csv,
@@ -113,10 +114,11 @@ def test_reference_satisfies_local_mass_balance(small_problem):
         u_prev = r.u
 
 
-def test_reference_failure_is_fatal(small_problem):
+def test_reference_failure_is_fatal(small_problem, monkeypatch):
     mesh, forms = small_problem
+    monkeypatch.setattr(benchmark, "REFERENCE_MAX_ITERATIONS", 3)
     with pytest.raises(ReferenceConvergenceError):
-        compute_reference(mesh, forms, 0.25, 2, max_iterations=3)
+        compute_reference(mesh, forms, 0.25, 2)
 
 
 def test_reference_escalation_goes_through_module_names(small_problem,
@@ -158,11 +160,21 @@ def test_reference_escalation_goes_through_module_names(small_problem,
 def test_reference_fields_shapes(small_problem):
     mesh, forms = small_problem
     ref = compute_reference(mesh, forms, 0.25, 2)
-    fields = reference_fields(ref)
-    assert len(fields) == 2
-    for u, q in fields:
-        assert u.shape == (mesh.num_cells,)
-        assert q.shape == (mesh.num_edges,)
+    assert len(ref) == 2
+    for r in ref:
+        assert r.u.shape == (mesh.num_cells,)
+        assert r.q.shape == (mesh.num_edges,)
+
+
+@pytest.mark.parametrize("kind,kwargs", [
+    ("lreg", {}),                # the regularized schemes need eps
+    ("newton", {}),
+    ("hl", {"eps": 1e-3}),       # hl does not regularize
+    ("hl", {"shift": 0.5}),
+], ids=["lreg-no-eps", "newton-no-eps", "hl-eps", "hl-shift"])
+def test_scheme_config_rejects_flags_of_other_schemes(kind, kwargs):
+    with pytest.raises(ValueError):
+        scheme_config(kind, 1e-3, 0.05, **kwargs)
 
 
 def test_discretization_error_positive(small_problem):
@@ -213,21 +225,21 @@ def test_hl_error_decays_monotonically_above_floor():
     # Once below its initial value and above the accumulation floor, the
     # recorded hl error history must be non-increasing.
     from degenmfem.schemes import SchemeConfig, StoppingCriterion, run_time_series
-    from degenmfem.theory import TheoryConstants, accumulated_error_bound, select_delta
+    from degenmfem.theory import accumulated_error_bound, select_delta
 
     mesh = build_structured_unit_square(8)
     forms = assemble_forms(mesh, MSOL.boundary_value)
     tau = 0.05
     ref = compute_reference(mesh, forms, tau, 10)
-    consts = TheoryConstants.for_unit_square(MSOL.nonlinearity())
+    spec = MSOL.nonlinearity()
     # tol = 1e-5 keeps the guaranteed floor well below the initial error,
     # so the monotonicity window is non-empty.
-    delta, big_l = select_delta(1e-5, tau, consts)
-    floor = 2.0 * accumulated_error_bound(delta, tau, consts)
+    delta, big_l = select_delta(1e-5, tau, spec)
+    floor = 2.0 * accumulated_error_bound(delta, tau, spec)
     config = SchemeConfig(
         kind="hl", tau=tau,
         stopping=StoppingCriterion(mode="against_reference", tol=1e-5),
-        nonlinearity=MSOL.nonlinearity(), L=float(big_l))
+        nonlinearity=spec, L=float(big_l))
     from degenmfem.fem import project_scalar
     series = run_time_series(config, mesh, forms,
                              project_scalar(mesh, MSOL.initial),

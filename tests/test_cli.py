@@ -121,3 +121,89 @@ def test_tables_hl_smoke(tmp_path, capsys):
     assert all(line.startswith("hl,") for line in csv_lines[1:])
     summary = (tmp_path / "summary.txt").read_text()
     assert "table 5 (hl)" in summary
+
+
+HL_REPORT = """\
+degenmfem solve report
+scheme = hl
+n = 8
+tau = 0.1
+steps = 3
+tol = 0.0001
+L = 31
+converged = true
+total_iterations = 202
+
+step  t        iterations  converged  reason
+   1  0.1              68       true  -
+   2  0.2              67       true  -
+   3  0.3              67       true  -
+"""
+
+LREG_REPORT = """\
+degenmfem solve report
+scheme = lreg
+n = 8
+tau = 0.1
+steps = 3
+tol = 0.0001
+eps = 0.001
+reg_kind = linear
+shift = 0
+L = 16
+converged = true
+total_iterations = 106
+
+step  t        iterations  converged  reason
+   1  0.1              36       true  -
+   2  0.2              35       true  -
+   3  0.3              35       true  -
+"""
+
+NEWTON_REPORT = """\
+degenmfem solve report
+scheme = newton
+n = 8
+tau = 0.1
+steps = 3
+tol = 0.0001
+eps = 0.001
+reg_kind = linear
+shift = 0
+converged = true
+total_iterations = 8
+
+step  t        iterations  converged  reason
+   1  0.1               3       true  -
+   2  0.2               3       true  -
+   3  0.3               2       true  -
+"""
+
+
+# Byte-for-byte outputs of four small solves; the quadratic run's report
+# is not pinned, only its nc row.
+@pytest.mark.parametrize(
+    "flags,code,row,report",
+    [
+        (["--scheme", "hl"], 0,
+         "hl,1e-04,,0.1,31,202,67.3333,true", HL_REPORT),
+        (["--scheme", "lreg", "--eps", "1e-3"], 0,
+         "lreg,1e-04,1e-03,0.1,16,106,35.3333,true", LREG_REPORT),
+        (["--scheme", "newton", "--eps", "1e-3"], 0,
+         "newton,1e-04,1e-03,0.1,,8,2.66667,true", NEWTON_REPORT),
+        (["--scheme", "lreg", "--eps", "1e-3", "--L", "50",
+          "--reg-kind", "quadratic", "--shift", "0.01"], 2,
+         "lreg,1e-04,1e-03,0.1,50,,,false", None),
+    ],
+    ids=["hl", "lreg", "newton", "lreg-quadratic"],
+)
+def test_solve_outputs_pinned(tmp_path, capsys, flags, code, row, report):
+    argv = ["solve", *flags, "--n", "8", "--tau", "0.1", "--steps", "3",
+            "--tol", "1e-4", "--out", str(tmp_path)]
+    assert _run(argv) == code
+    assert (tmp_path / "solve_result.csv").read_bytes() == (
+        "scheme,tol,eps,tau,L,total_iterations,per_step,converged\n"
+        f"{row}\n").encode()
+    if report is not None:
+        assert (tmp_path / "solve_report.txt").read_bytes() == report.encode()
+        assert capsys.readouterr().out == report

@@ -33,6 +33,27 @@ def test_invalid_n():
         build_structured_unit_square(-3)
 
 
+def test_numbering_n2():
+    # The numbering sets the fill-reducing ordering of every factorization,
+    # and with it the last bits of every solve, so it is pinned exactly.
+    mesh = build_structured_unit_square(2)
+    np.testing.assert_array_equal(mesh.edges, [
+        [0, 1], [1, 2], [3, 4], [4, 5], [6, 7], [7, 8],      # horizontals
+        [0, 3], [1, 4], [2, 5], [3, 6], [4, 7], [5, 8],      # verticals
+        [0, 4], [1, 5], [3, 7], [4, 8],                      # diagonals
+    ])
+    np.testing.assert_array_equal(mesh.cells, [
+        [0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
+        [3, 4, 7], [3, 7, 6], [4, 5, 8], [4, 8, 7],
+    ])
+    np.testing.assert_array_equal(mesh.cell_edges, [
+        [0, 7, 12], [12, 2, 6], [1, 8, 13], [13, 3, 7],
+        [2, 10, 14], [14, 4, 9], [3, 11, 15], [15, 5, 10],
+    ])
+    for a in (mesh.edges, mesh.cells, mesh.cell_edges):
+        assert a.dtype == np.int64
+
+
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_edge_sharing_and_signs(n):
     mesh = build_structured_unit_square(n)

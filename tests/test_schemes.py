@@ -20,7 +20,6 @@ from degenmfem.schemes import (
     theorem_bound_monitor,
     total_iterations,
 )
-from degenmfem.theory import TheoryConstants
 
 LIPSCHITZ = NonlinearitySpec(alpha=1.0)
 HOLDER = NonlinearitySpec(alpha=0.5)
@@ -182,15 +181,15 @@ def test_max_iterations_reported(forms):
     assert report.iterations_used == 3
 
 
-def test_divergence_reported(forms):
+def test_divergence_reported(forms, monkeypatch):
     # The slow Holder iteration keeps the error above a (deliberately
     # tiny) divergence threshold, which must be flagged, not looped on.
+    monkeypatch.setattr(schemes, "DIVERGENCE_THRESHOLD", 1e-12)
     tau = 0.4
     u_star, _, u_prev, f_n = _manufactured_linear_step(forms, seed=3)
     config = SchemeConfig(kind="hl", tau=tau,
                           stopping=_reference_stop(u_star, tol=1e-13),
-                          nonlinearity=HOLDER, L=40.0,
-                          divergence_threshold=1e-12)
+                          nonlinearity=HOLDER, L=40.0)
     _, _, report = hl_iterate(forms, config, np.maximum(u_prev, 0.0) ** 0.5,
                               u_prev, f_n)
     assert not report.converged
@@ -354,19 +353,18 @@ def test_mass_balance_residual_zero_for_exact_solution(forms):
 
 
 def test_theorem_bound_monitor_basics():
-    consts = TheoryConstants(alpha=0.5)
     delta, tau = 1.0 / 19.0, 0.05
     # Starting from the reference, both sides reduce to the accumulation
     # term and the bound holds trivially.
-    ok = theorem_bound_monitor([0.0, 0.0], [0.0], delta, tau, consts)
+    ok = theorem_bound_monitor([0.0, 0.0], [0.0], delta, tau, HOLDER)
     assert ok == [True]
     # A genuinely contracted history passes ...
     hist_u = [0.05, 0.04, 0.032, 0.026]
     hist_q = [0.01, 0.008, 0.006]
-    assert all(theorem_bound_monitor(hist_u, hist_q, delta, tau, consts))
+    assert all(theorem_bound_monitor(hist_u, hist_q, delta, tau, HOLDER))
     # ... and scaling one iterate by 10 must trip the monitor.
     bad = list(hist_u)
     bad[2] *= 10.0
-    assert not all(theorem_bound_monitor(bad, hist_q, delta, tau, consts))
+    assert not all(theorem_bound_monitor(bad, hist_q, delta, tau, HOLDER))
     with pytest.raises(ValueError):
-        theorem_bound_monitor([0.1, 0.05], [0.1, 0.1], delta, tau, consts)
+        theorem_bound_monitor([0.1, 0.05], [0.1, 0.1], delta, tau, HOLDER)

@@ -3,7 +3,6 @@ import pytest
 
 from degenmfem.nonlinearity import NonlinearitySpec
 from degenmfem.theory import (
-    TheoryConstants,
     accumulated_error_bound,
     c_alpha,
     contraction_factor,
@@ -13,19 +12,19 @@ from degenmfem.theory import (
     select_delta,
 )
 
-CONSTS = TheoryConstants(alpha=0.5)
+SPEC = NonlinearitySpec(alpha=0.5)
 
 
 def test_contraction_factor_values():
-    assert contraction_factor(1.0, 1.0, CONSTS) == pytest.approx(0.5)
-    assert contraction_factor(0.055, 0.05, CONSTS) == pytest.approx(
+    assert contraction_factor(1.0, 1.0) == pytest.approx(0.5)
+    assert contraction_factor(0.055, 0.05) == pytest.approx(
         1.0 / 1.00275, rel=1e-12)
     # delta -> 0+ gives no damping.
-    assert contraction_factor(1e-15, 1.0, CONSTS) == pytest.approx(1.0)
+    assert contraction_factor(1e-15, 1.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        contraction_factor(0.0, 1.0, CONSTS)
+        contraction_factor(0.0, 1.0)
     with pytest.raises(ValueError):
-        contraction_factor(0.1, -1.0, CONSTS)
+        contraction_factor(0.1, -1.0)
 
 
 def test_contraction_factor_monotone():
@@ -34,44 +33,37 @@ def test_contraction_factor_monotone():
         d1, d2 = np.sort(rng.uniform(1e-4, 10.0, size=2))
         t1, t2 = np.sort(rng.uniform(1e-4, 10.0, size=2))
         if d1 < d2:
-            assert contraction_factor(d2, t1, CONSTS) < \
-                contraction_factor(d1, t1, CONSTS)
+            assert contraction_factor(d2, t1) < contraction_factor(d1, t1)
         if t1 < t2:
-            assert contraction_factor(d1, t2, CONSTS) < \
-                contraction_factor(d1, t1, CONSTS)
-        r = contraction_factor(d1, t1, CONSTS)
+            assert contraction_factor(d1, t2) < contraction_factor(d1, t1)
+        r = contraction_factor(d1, t1)
         assert 0.0 < r < 1.0
 
 
 def test_c_alpha_values():
-    assert c_alpha(CONSTS) == pytest.approx(2.0 / 27.0, rel=1e-14)
-    halved = TheoryConstants(alpha=0.5, holder_constant=0.5)
-    assert c_alpha(halved) == pytest.approx(0.25 * 0.5**4 * 1.5**-3, rel=1e-12)
-    assert c_alpha(halved) == pytest.approx(4.6296e-3, rel=1e-4)
-    doubled = TheoryConstants(alpha=0.5, sigma_omega=2.0)
-    assert c_alpha(doubled) == pytest.approx(2.0 * c_alpha(CONSTS), rel=1e-14)
+    assert c_alpha(SPEC) == pytest.approx(2.0 / 27.0, rel=1e-14)
     with pytest.raises(ValueError):
-        c_alpha(TheoryConstants(alpha=1.0))
+        c_alpha(NonlinearitySpec(alpha=1.0))
 
 
 def test_accumulated_error_bound():
     # Exponent check: delta^((1+alpha)/(1-alpha)) = delta^3 for alpha=1/2.
-    b = accumulated_error_bound(0.01, 1.0, CONSTS)
+    b = accumulated_error_bound(0.01, 1.0, SPEC)
     assert b == pytest.approx(2.0 * (2.0 / 27.0) * 1e-6, rel=1e-12)
-    assert accumulated_error_bound(0.055, 0.05, CONSTS) == pytest.approx(
+    assert accumulated_error_bound(0.055, 0.05, SPEC) == pytest.approx(
         2.0 * (2.0 / 27.0) * 0.055**3 / 0.05, rel=1e-12)
-    assert accumulated_error_bound(0.055, 0.05, CONSTS) < 5e-4
+    assert accumulated_error_bound(0.055, 0.05, SPEC) < 5e-4
     # Equivalent form through R/(1-R).
-    r = contraction_factor(0.02, 0.3, CONSTS)
-    direct = 2.0 * c_alpha(CONSTS) * 0.02**4 * r / (1.0 - r)
-    assert accumulated_error_bound(0.02, 0.3, CONSTS) == pytest.approx(
+    r = contraction_factor(0.02, 0.3)
+    direct = 2.0 * c_alpha(SPEC) * 0.02**4 * r / (1.0 - r)
+    assert accumulated_error_bound(0.02, 0.3, SPEC) == pytest.approx(
         direct, rel=1e-12)
-    assert accumulated_error_bound(1e-9, 0.05, CONSTS) < 1e-20
+    assert accumulated_error_bound(1e-9, 0.05, SPEC) < 1e-20
 
 
 def test_per_iteration_accumulation():
-    r = contraction_factor(0.1, 0.5, CONSTS)
-    assert per_iteration_accumulation(0.1, 0.5, CONSTS) == pytest.approx(
+    r = contraction_factor(0.1, 0.5)
+    assert per_iteration_accumulation(0.1, 0.5, SPEC) == pytest.approx(
         2.0 * (2.0 / 27.0) * r * 0.1**4, rel=1e-12)
 
 
@@ -86,10 +78,10 @@ def test_per_iteration_accumulation():
     ],
 )
 def test_select_delta_rows(tol, tau, delta_approx, big_l):
-    delta, L = select_delta(tol, tau, CONSTS)
+    delta, L = select_delta(tol, tau, SPEC)
     assert L == big_l
     assert delta == pytest.approx(1.0 / big_l)
-    raw = delta_closed_form(tol, tau, CONSTS)
+    raw = delta_closed_form(tol, tau, SPEC)
     assert raw == pytest.approx((3.0 / 2.0) * (tau * tol) ** (1.0 / 3.0),
                                 rel=1e-12)
     assert raw == pytest.approx(delta_approx, rel=0.05)
@@ -98,18 +90,18 @@ def test_select_delta_rows(tol, tau, delta_approx, big_l):
 def test_select_delta_meets_bound():
     for tol in (1e-3, 1e-4, 1e-5):
         for tau in (0.05, 0.025, 0.0125):
-            delta, L = select_delta(tol, tau, CONSTS)
-            assert accumulated_error_bound(delta, tau, CONSTS) <= tol / 2
+            delta, L = select_delta(tol, tau, SPEC)
+            assert accumulated_error_bound(delta, tau, SPEC) <= tol / 2
             # Rounding L up can only tighten the bound.
-            raw = delta_closed_form(tol, tau, CONSTS)
+            raw = delta_closed_form(tol, tau, SPEC)
             assert delta <= raw * (1 + 1e-12)
 
 
 def test_select_delta_validation():
     with pytest.raises(ValueError):
-        select_delta(0.0, 0.05, CONSTS)
+        select_delta(0.0, 0.05, SPEC)
     with pytest.raises(ValueError):
-        select_delta(1e-3, 0.05, TheoryConstants(alpha=1.0))
+        select_delta(1e-3, 0.05, NonlinearitySpec(alpha=1.0))
 
 
 @pytest.mark.parametrize("eps,big_l", [(1e-3, 16), (1e-4, 50), (1e-5, 159)])
