@@ -191,20 +191,22 @@ def scheme_config(kind, tol, tau, eps=None, msol=DEFAULT_SOLUTION, L=None,
     tolerance-driven selection and the regularized L-scheme from the
     eps-driven one; Newton takes none.  ``eps``, ``reg_kind`` and
     ``shift`` define the regularization of lreg and newton; a missing
-    ``eps``, or an ``eps`` or ``shift`` given to hl, is a ValueError.
+    ``eps``, or an ``eps``, ``shift`` or ``reg_kind`` given to hl, is a
+    ValueError.
     """
     spec = msol.nonlinearity()
     stopping = StoppingCriterion(mode="against_reference", tol=tol)
-    reg = None
-    if kind != "hl" or eps is not None or shift:
-        reg = RegularizationSpec(kind=reg_kind, epsilon=eps, base=spec,
-                                 shift=shift)
     if kind == "hl":
+        for flag, given in (("eps", eps is not None), ("shift", shift != 0.0),
+                            ("reg_kind", reg_kind != "linear")):
+            if given:
+                raise ValueError(f"hl does not regularize; it takes no {flag}")
         if L is None:
             _, L = select_delta(tol, tau, spec)
         return SchemeConfig(kind="hl", tau=tau, stopping=stopping,
-                            nonlinearity=spec, regularization=reg,
-                            L=float(L))
+                            nonlinearity=spec, L=float(L))
+    reg = RegularizationSpec(kind=reg_kind, epsilon=eps, base=spec,
+                             shift=shift)
     if kind == "lreg" and L is None:
         L = select_L_regularized(eps, spec)
     return SchemeConfig(kind=kind, tau=tau, stopping=stopping,

@@ -23,10 +23,12 @@ the flux equation as a natural boundary functional with the trace
 evaluated at boundary-edge midpoints.
 
 ``AssembledForms`` is immutable after assembly and safe to share between
-threads; assembly itself is single-threaded.
+threads; assembly itself is single-threaded.  Its ``hybrid`` operators
+are built on first use and cached.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sps
@@ -51,6 +53,8 @@ class AssembledForms:
     dirichlet_functional : (num_edges,) array
         g with g_E = -int_{E} g_D phi_E . n on boundary edges, 0 inside,
         so the discrete flux equation reads  M q - B^T u = g.
+    local_mass : (num_cells, 3, 3) array
+        The per-cell blocks M_T of M, in the cell's local edge order.
     """
 
     mesh: Mesh
@@ -58,6 +62,7 @@ class AssembledForms:
     flux_mass: sps.csr_matrix
     divergence: sps.csr_matrix
     dirichlet_functional: np.ndarray
+    local_mass: np.ndarray
 
     @property
     def num_cells(self) -> int:
@@ -66,6 +71,79 @@ class AssembledForms:
     @property
     def num_edges(self) -> int:
         return self.mesh.num_edges
+
+    @cached_property
+    def hybrid(self) -> "HybridOperators":
+        """The mesh-only operators of the hybridized system."""
+        return _hybrid_operators(self)
+
+
+@dataclass(frozen=True)
+class HybridOperators:
+    """Mesh-only operators of the hybridized mixed system.
+
+    Per cell T, with signs s_T (as floats) and mass block M_T: ``minv``
+    is M_T^{-1}, symmetrized; ``m`` is M_T^{-1} s_T, ``beta`` is
+    s_T . m_T and ``v`` is s_T * m_T.  The multiplier matrix lives on
+    ``interior_edges`` with the fixed pattern (``indptr``, ``indices``)
+    of the interior block of M; ``base`` is the data of
+    sum_T S_T M_T^{-1} S_T in it.  Each local pair (k, l) of interior
+    edges of a cell is one entry j: ``pair_cell[j]`` is the cell,
+    ``pair_vv[j]`` its (v_T v_T^T)_{kl} and ``pair_pos[j]`` its position
+    in the data.  ``owner_slot[E]`` is the flat (cell, local edge) slot
+    of edge E in its lowest-numbered cell.
+    """
+
+    signs: np.ndarray
+    minv: np.ndarray
+    m: np.ndarray
+    beta: np.ndarray
+    v: np.ndarray
+    interior_edges: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    base: np.ndarray
+    pair_pos: np.ndarray
+    pair_cell: np.ndarray
+    pair_vv: np.ndarray
+    owner_slot: np.ndarray
+
+
+def _hybrid_operators(forms: AssembledForms) -> HybridOperators:
+    mesh = forms.mesh
+    nc, ne = forms.num_cells, forms.num_edges
+    signs = mesh.cell_edge_signs.astype(float)
+    minv = np.linalg.inv(forms.local_mass)
+    minv = 0.5 * (minv + minv.transpose(0, 2, 1))
+    m = np.einsum("ckl,cl->ck", minv, signs)
+    v = signs * m
+    beta = v.sum(axis=1)
+
+    interior_edges = np.setdiff1d(np.arange(ne), mesh.boundary_edges)
+    ni = interior_edges.size
+    number = np.full(ne, -1)
+    number[interior_edges] = np.arange(ni)
+    local = number[mesh.cell_edges]
+    rows = np.repeat(local, 3, axis=1).ravel()
+    cols = np.tile(local, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    keys, pair_pos = np.unique(rows[keep] * ni + cols[keep],
+                               return_inverse=True)
+    indptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(keys // ni, minlength=ni))])
+    ssm = signs[:, :, None] * minv * signs[:, None, :]
+    base = np.bincount(pair_pos, weights=ssm.ravel()[keep],
+                       minlength=keys.size)
+    pair_cell = np.repeat(np.arange(nc), 9)[keep]
+    pair_vv = (v[:, :, None] * v[:, None, :]).ravel()[keep]
+    _, owner_slot = np.unique(mesh.cell_edges.ravel(), return_index=True)
+
+    arrays = (signs, minv, m, beta, v, interior_edges,
+              indptr.astype(np.int32), (keys % ni).astype(np.int32), base,
+              pair_pos, pair_cell, pair_vv, owner_slot)
+    for a in arrays:
+        a.flags.writeable = False
+    return HybridOperators(*arrays)
 
 
 def assemble_forms(mesh: Mesh, g_dirichlet=0.0) -> AssembledForms:
@@ -119,8 +197,9 @@ def assemble_forms(mesh: Mesh, g_dirichlet=0.0) -> AssembledForms:
             vals = np.full(mesh.boundary_edges.size, float(g_dirichlet))
         g[mesh.boundary_edges] = -vals
     g.flags.writeable = False
+    local_mass.flags.writeable = False
 
-    return AssembledForms(mesh, areas, flux_mass, divergence, g)
+    return AssembledForms(mesh, areas, flux_mass, divergence, g, local_mass)
 
 
 def project_scalar(mesh: Mesh, func) -> np.ndarray:

@@ -11,25 +11,36 @@ divergence matrix B and the flux mass M from the assembled forms.  The
 matrix is nonsingular whenever the weights are nonnegative and tau > 0
 since M is symmetric positive definite and B has full row rank.
 
-The block matrix itself is never factorized.  Cells split into P, where
-d_T |T| > 0, and Z, where the weight is zero (Newton's b'_eps vanishes
-on the dry cells u < 0).  Eliminating u_P = D_P^{-1}(rhs_P - tau B_P q)
-leaves the symmetric system
+The block matrix itself is never factorized; one of two symmetric
+positive definite reductions is (static condensation, Arnold-Brezzi
+1985).  When every d_T |T| is positive (always for the L-type schemes),
+eliminating u = D^{-1}(rhs_scalar - tau B q) leaves the flux Schur
+complement
 
-    [ M + tau B_P^T D_P^{-1} B_P   B_Z^T ] [ q  ]   [ rhs_flux + B_P^T D_P^{-1} rhs_P ]
-    [ B_Z                          0     ] [-u_Z] = [ rhs_Z / tau                     ],
+    (M + tau B^T D^{-1} B) q = rhs_flux + B^T D^{-1} rhs_scalar.
 
-which is the symmetric positive definite flux Schur complement when Z is
-empty (always for the L-type schemes) and that matrix bordered by the
-rows of the zero-weight cells otherwise (static condensation,
-Arnold-Brezzi 1985).
-It is factorized once by a sparse LU with a symmetric ordering and
-diagonal pivoting, and the factorization reused across solves; each
-factorization keeps the system it was built from, so L-type schemes
-keep one factorization for a whole run (the step loop rejects one built
-for another (L, tau)) while Newton must refactorize every iteration.
-``SaddleSystem.matrix`` builds the full block matrix on demand as the
-oracle for tests and ``residual_norm``.
+When some weight is zero (Newton's b'_eps vanishes on the dry cells
+u < 0) the system is hybridized instead: each cell T gets its own
+fluxes, tied across interior edges by multipliers lambda (the traces of
+u; zero on the Dirichlet boundary).  With the cell's mass block M_T and
+edge signs s_T, m_T = M_T^{-1} s_T, beta_T = s_T . m_T, v_T = s_T * m_T
+and den_T = d_T |T| + tau beta_T > 0, eliminating the cell unknowns
+leaves
+
+    H = sum_T P_T^T (S_T M_T^{-1} S_T - (tau / den_T) v_T v_T^T) P_T
+
+on the interior edges.  Its size and pattern depend only on the mesh, so
+all weights d_T >= 0, zero included, take the same path.  Each entry of
+rhs_flux belongs to the lowest-numbered cell of its edge; u_T and q
+follow cell by cell from lambda.
+
+The reduced matrix is factorized once by a sparse LU with a symmetric
+ordering and diagonal pivoting, and the factorization reused across
+solves; each factorization keeps the system it was built from, so L-type
+schemes keep one factorization for a whole run (the step loop rejects one
+built for another (L, tau)) while Newton must refactorize every
+iteration.  ``SaddleSystem.matrix`` builds the full block matrix on
+demand as the oracle for tests and ``residual_norm``.
 
 A ``Factorization`` is immutable; solves are pure functions of
 (factorization, right-hand side) and repeated solves are bit-identical.
@@ -59,21 +70,21 @@ class StaleFactorizationError(Exception):
 class SaddleSystem:
     """Immutable assembled system (right-hand sides supplied per solve).
 
-    ``reduced`` is the matrix that is factorized; ``zero_cells`` lists
-    the cells of zero weight, whose ``-u`` are its trailing unknowns.
-    ``d_inv`` is 1/(d_T |T|) (0 on those cells) and the lifts are
-    B^T D^{-1} (flux by cells) and tau D^{-1} B (cells by flux), both
-    with zero columns, respectively rows, on the zero-weight cells.
+    ``reduced`` is the matrix that is factorized.  For the flux Schur
+    complement, ``d_inv`` is 1/(d_T |T|) and the lifts are B^T D^{-1}
+    (flux by cells) and tau D^{-1} B (cells by flux), and ``den`` is
+    None.  For the hybridized matrix on the interior edges, ``den`` is
+    d_T |T| + tau beta_T and those three are None.
     """
 
     forms: AssembledForms
     weights: np.ndarray
     tau: float
     reduced: sps.csc_matrix = field(repr=False)
-    zero_cells: np.ndarray = field(repr=False)
-    d_inv: np.ndarray = field(repr=False)
-    lift_flux: sps.csr_matrix = field(repr=False)
-    lift_scalar: sps.csr_matrix = field(repr=False)
+    d_inv: np.ndarray | None = field(default=None, repr=False)
+    lift_flux: sps.csr_matrix | None = field(default=None, repr=False)
+    lift_scalar: sps.csr_matrix | None = field(default=None, repr=False)
+    den: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def num_cells(self) -> int:
@@ -122,34 +133,35 @@ def assemble(forms: AssembledForms, weights, tau: float) -> SaddleSystem:
         raise ValueError("linearization weights must be nonnegative")
 
     scaled = weights * forms.scalar_mass
-    # A weight whose reciprocal would overflow counts as zero.
-    positive = scaled > 1.0 / np.finfo(float).max
-    d_inv = np.zeros(nc)
-    d_inv[positive] = 1.0 / scaled[positive]
-    div = forms.divergence
-    lift_scalar = (sps.diags(tau * d_inv) @ div).tocsr()
-    lift_flux = (sps.diags(d_inv) @ div).T.tocsr()
-    schur = forms.flux_mass + div.T @ lift_scalar
-    zero_cells = np.flatnonzero(~positive)
-    if zero_cells.size:
-        div_zero = div[zero_cells]
-        reduced = sps.bmat([[schur, div_zero.T], [div_zero, None]],
-                           format="csc")
-    else:
-        reduced = schur.tocsc()
     weights.flags.writeable = False
-    d_inv.flags.writeable = False
-    zero_cells.flags.writeable = False
-    return SaddleSystem(forms, weights, float(tau), reduced, zero_cells,
-                        d_inv, lift_flux, lift_scalar)
+    # A weight whose reciprocal would overflow counts as zero.
+    if np.all(scaled > 1.0 / np.finfo(float).max):
+        d_inv = 1.0 / scaled
+        div = forms.divergence
+        lift_scalar = (sps.diags(tau * d_inv) @ div).tocsr()
+        lift_flux = (sps.diags(d_inv) @ div).T.tocsr()
+        reduced = (forms.flux_mass + div.T @ lift_scalar).tocsc()
+        d_inv.flags.writeable = False
+        return SaddleSystem(forms, weights, float(tau), reduced, d_inv,
+                            lift_flux, lift_scalar)
+
+    hybrid = forms.hybrid
+    den = scaled + tau * hybrid.beta
+    data = hybrid.base - np.bincount(
+        hybrid.pair_pos, weights=(tau / den)[hybrid.pair_cell] * hybrid.pair_vv,
+        minlength=hybrid.base.size)
+    ni = hybrid.interior_edges.size
+    reduced = sps.csc_matrix((data, hybrid.indices, hybrid.indptr),
+                             shape=(ni, ni))
+    den.flags.writeable = False
+    return SaddleSystem(forms, weights, float(tau), reduced, den=den)
 
 
 def factorize(system: SaddleSystem) -> Factorization:
     """Compute the sparse LU decomposition of the reduced matrix.
 
-    The ordering is symmetric and pivots stay on the diagonal wherever
-    it is nonzero, which the symmetric positive definite flux block
-    allows.
+    The ordering is symmetric and pivots stay on the diagonal, which
+    both symmetric positive definite reductions allow.
     """
     try:
         lu = spla.splu(system.reduced, permc_spec="MMD_AT_PLUS_A",
@@ -170,18 +182,38 @@ def solve(fact: Factorization, rhs_scalar, rhs_flux):
         raise ValueError(f"rhs_scalar must have shape ({nc},)")
     if rhs_flux.shape != (ne,):
         raise ValueError(f"rhs_flux must have shape ({ne},)")
-    zero = system.zero_cells
-    rhs = rhs_flux + system.lift_flux @ rhs_scalar
-    if zero.size:
-        rhs = np.concatenate([rhs, rhs_scalar[zero] / system.tau])
-    x = fact.lu.solve(rhs)
-    q = x[:ne]
-    u = system.d_inv * rhs_scalar - system.lift_scalar @ q
-    if zero.size:
-        u[zero] = -x[ne:]
+    if system.den is None:
+        q = fact.lu.solve(rhs_flux + system.lift_flux @ rhs_scalar)
+        u = system.d_inv * rhs_scalar - system.lift_scalar @ q
+    else:
+        u, q = _solve_hybrid(fact, rhs_scalar, rhs_flux)
     if not (np.isfinite(q).all() and np.isfinite(u).all()):
         raise SingularSystemError("direct solve produced non-finite values")
     return u, q
+
+
+def _solve_hybrid(fact: Factorization, rhs_scalar, rhs_flux):
+    """Solve the hybridized system for the multipliers, then recover u
+    and q cell by cell."""
+    system = fact.system
+    hybrid = system.forms.hybrid
+    cell_edges = system.forms.mesh.cell_edges
+    nc, ne = system.num_cells, system.num_edges
+    tau, den = system.tau, system.den
+    rho = np.zeros(3 * nc)
+    rho[hybrid.owner_slot] = rhs_flux
+    m_rho = np.einsum("ckl,cl->ck", hybrid.minv, rho.reshape(nc, 3))
+    u0 = (rhs_scalar - tau * np.einsum("ck,ck->c", hybrid.signs, m_rho)) / den
+    local_rhs = hybrid.signs * m_rho + hybrid.v * u0[:, None]
+    rhs = np.bincount(cell_edges.ravel(), weights=local_rhs.ravel(),
+                      minlength=ne)[hybrid.interior_edges]
+    lam = np.zeros(ne)
+    lam[hybrid.interior_edges] = fact.lu.solve(rhs)
+    lam = lam[cell_edges]
+    u = u0 + tau * np.einsum("ck,ck->c", hybrid.v, lam) / den
+    q = (m_rho + hybrid.m * u[:, None]
+         - np.einsum("ckl,cl->ck", hybrid.minv, hybrid.signs * lam))
+    return u, q.ravel()[hybrid.owner_slot]
 
 
 def residual_norm(system: SaddleSystem, u, q, rhs_scalar, rhs_flux) -> float:

@@ -166,14 +166,15 @@ def test_reference_fields_shapes(small_problem):
         assert r.q.shape == (mesh.num_edges,)
 
 
-@pytest.mark.parametrize("kind,kwargs", [
-    ("lreg", {}),                # the regularized schemes need eps
-    ("newton", {}),
-    ("hl", {"eps": 1e-3}),       # hl does not regularize
-    ("hl", {"shift": 0.5}),
-], ids=["lreg-no-eps", "newton-no-eps", "hl-eps", "hl-shift"])
-def test_scheme_config_rejects_flags_of_other_schemes(kind, kwargs):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("kind,kwargs,named", [
+    ("lreg", {}, "epsilon"),     # the regularized schemes need eps
+    ("newton", {}, "epsilon"),
+    ("hl", {"eps": 1e-3}, "eps"),  # hl does not regularize
+    ("hl", {"shift": 0.5}, "shift"),
+    ("hl", {"reg_kind": "quadratic"}, "reg_kind"),
+], ids=["lreg-no-eps", "newton-no-eps", "hl-eps", "hl-shift", "hl-reg-kind"])
+def test_scheme_config_rejects_flags_of_other_schemes(kind, kwargs, named):
+    with pytest.raises(ValueError, match=named):
         scheme_config(kind, 1e-3, 0.05, **kwargs)
 
 

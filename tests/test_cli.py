@@ -54,6 +54,8 @@ def test_theory_with_eps(capsys):
          "--steps", "2", "--tol", "1e-3", "--eps", "1e-3", "--L", "0"],
         ["solve", "--scheme", "lreg", "--n", "2", "--tau", "0.25",
          "--steps", "2", "--tol", "1e-3", "--eps", "1e-3", "--shift", "-0.5"],
+        ["solve", "--scheme", "hl", "--n", "2", "--tau", "0.25",
+         "--steps", "2", "--tol", "1e-3", "--reg-kind", "quadratic"],
     ],
 )
 def test_usage_errors_exit_1(argv):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenmfem.benchmark import DEFAULT_SOLUTION
 from degenmfem.fem import assemble_forms, project_scalar
@@ -114,14 +116,18 @@ def _weights(pattern, forms, rng):
         weights = rng.uniform(0.1, 3.0, size=nc)
         weights[rng.permutation(nc)[: max(1, nc // 2)]] = 0.0
         return weights
+    return _newton_weights(forms, 1e-3)
+
+
+def _newton_weights(forms, eps):
     # Newton's weights b'_eps(u) at the manufactured solution, t = 0.25:
     # zero on the dry cells u < 0, positive elsewhere.
-    reg = RegularizationSpec(kind="linear", epsilon=1e-3,
+    reg = RegularizationSpec(kind="linear", epsilon=eps,
                              base=DEFAULT_SOLUTION.nonlinearity())
     u = project_scalar(forms.mesh,
                        lambda x, y: DEFAULT_SOLUTION.exact(0.25, x, y))
     weights = b_eps_prime(reg, u)
-    assert 0 < np.count_nonzero(weights == 0.0) < nc
+    assert 0 < np.count_nonzero(weights == 0.0) < forms.num_cells
     return weights
 
 
@@ -132,16 +138,17 @@ def _weights(pattern, forms, rng):
 ])
 def test_reduced_solve_matches_dense_oracle(n, pattern):
     # The reduced solve against dense elimination on the full block
-    # matrix; cells of zero weight stay in the factorized matrix, all
-    # others are eliminated.
+    # matrix: with every weight positive the flux Schur complement on all
+    # edges is factorized, otherwise the hybridized matrix on the
+    # interior edges.
     forms = assemble_forms(build_structured_unit_square(n), -0.5)
     rng = np.random.default_rng(100 + n)
     weights = _weights(pattern, forms, rng)
     system = assemble(forms, weights, 0.05)
     fact = factorize(system)
-    num_zero = (forms.num_cells if pattern == "tiny"
-                else np.count_nonzero(weights == 0.0))
-    assert fact.lu.shape[0] == forms.num_edges + num_zero
+    num_interior = forms.num_edges - forms.mesh.boundary_edges.size
+    assert fact.lu.shape[0] == (forms.num_edges if pattern == "positive"
+                                else num_interior)
     rhs_s = rng.normal(size=forms.num_cells)
     rhs_f = rng.normal(size=forms.num_edges)
     u, q = solve(fact, rhs_s, rhs_f)
@@ -149,6 +156,59 @@ def test_reduced_solve_matches_dense_oracle(n, pattern):
                             np.concatenate([rhs_s, rhs_f]))
     np.testing.assert_allclose(u, dense[: forms.num_cells], atol=1e-9)
     np.testing.assert_allclose(q, dense[forms.num_cells:], atol=1e-9)
+
+
+def test_hybrid_pattern_does_not_depend_on_dry_cells():
+    forms = assemble_forms(build_structured_unit_square(6))
+    rng = np.random.default_rng(4)
+    matrices = []
+    for _ in range(2):
+        weights = rng.uniform(0.1, 3.0, size=forms.num_cells)
+        weights[rng.random(forms.num_cells) < 0.5] = 0.0
+        matrices.append(assemble(forms, weights, 0.05).reduced)
+    first, second = matrices
+    np.testing.assert_array_equal(first.indptr, second.indptr)
+    np.testing.assert_array_equal(first.indices, second.indices)
+    assert not np.array_equal(first.data, second.data)
+
+
+def test_hybrid_matrix_is_symmetric_positive_definite():
+    forms = assemble_forms(build_structured_unit_square(8))
+    matrix = assemble(forms, _newton_weights(forms, 1e-3), 0.05).reduced
+    assert (matrix != matrix.T).nnz == 0
+    np.linalg.cholesky(matrix.toarray())
+
+
+def test_hybrid_fill_matches_flux_schur_complement():
+    # The hybridized matrix of Newton's weights fills no more than the
+    # flux Schur complement of positive weights on the same mesh.
+    forms = assemble_forms(build_structured_unit_square(11))
+
+    def fill(weights):
+        lu = factorize(assemble(forms, weights, 0.05)).lu
+        return lu.L.nnz + lu.U.nnz
+
+    assert fill(_newton_weights(forms, 1e-4)) <= 1.1 * fill(1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       dry=st.floats(0.0, 1.0), tau=st.floats(1e-3, 1.0))
+def test_solve_residual_with_random_zero_weights(n, seed, dry, tau):
+    forms = assemble_forms(build_structured_unit_square(n), -0.5)
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.0, 3.0, size=forms.num_cells)
+    weights[rng.random(forms.num_cells) < dry] = 0.0
+    system = assemble(forms, weights, tau)
+    fact = factorize(system)
+    # The factorized size depends on whether a cell is dry, not on which.
+    num_interior = forms.num_edges - forms.mesh.boundary_edges.size
+    assert fact.lu.shape[0] == (num_interior if np.any(weights == 0.0)
+                                else forms.num_edges)
+    rhs_s = rng.normal(size=forms.num_cells)
+    rhs_f = rng.normal(size=forms.num_edges)
+    u, q = solve(fact, rhs_s, rhs_f)
+    assert residual_norm(system, u, q, rhs_s, rhs_f) < 1e-10
 
 
 def test_repeated_solves_bit_identical(forms2):
