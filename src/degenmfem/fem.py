@@ -84,14 +84,23 @@ class HybridOperators:
 
     Per cell T, with signs s_T (as floats) and mass block M_T: ``minv``
     is M_T^{-1}, symmetrized; ``m`` is M_T^{-1} s_T, ``beta`` is
-    s_T . m_T and ``v`` is s_T * m_T.  The multiplier matrix lives on
-    ``interior_edges`` with the fixed pattern (``indptr``, ``indices``)
-    of the interior block of M; ``base`` is the data of
-    sum_T S_T M_T^{-1} S_T in it.  Each local pair (k, l) of interior
-    edges of a cell is one entry j: ``pair_cell[j]`` is the cell,
-    ``pair_vv[j]`` its (v_T v_T^T)_{kl} and ``pair_pos[j]`` its position
-    in the data.  ``owner_slot[E]`` is the flat (cell, local edge) slot
-    of edge E in its lowest-numbered cell.
+    s_T . m_T and ``v`` is s_T * m_T.  ``signs``, ``m`` and ``v`` are
+    stored local edge first, (3, num_cells), and ``minv`` as
+    (3, 3, num_cells), so the solve works on contiguous rows; a slot is
+    the flat index k * num_cells + T of local edge k of cell T.
+
+    The multiplier matrix lives on ``interior_edges``, listed in
+    nested-dissection order (``_dissection_order``), with the fixed
+    pattern (``indptr``, ``indices``) of the interior block of M in that
+    order; ``base`` is the data of sum_T S_T M_T^{-1} S_T in it.  Each
+    local pair (k, l) of interior edges of a cell is one entry j:
+    ``pair_cell[j]`` is the cell, ``pair_vv[j]`` its (v_T v_T^T)_{kl}
+    and ``pair_pos[j]`` its position in the data.  ``owner_slot[E]`` is
+    the slot of edge E in its lowest-numbered cell, ``edge_slots[:, i]``
+    the two slots of the i-th multiplier and ``slot_multiplier`` the
+    multiplier of each slot, or the number of multipliers for a boundary
+    slot.  ``minv`` is exactly symmetric, so ``minv[l]`` holds the
+    columns l of the blocks.
     """
 
     signs: np.ndarray
@@ -107,6 +116,8 @@ class HybridOperators:
     pair_cell: np.ndarray
     pair_vv: np.ndarray
     owner_slot: np.ndarray
+    edge_slots: np.ndarray
+    slot_multiplier: np.ndarray
 
 
 def _hybrid_operators(forms: AssembledForms) -> HybridOperators:
@@ -120,6 +131,8 @@ def _hybrid_operators(forms: AssembledForms) -> HybridOperators:
     beta = v.sum(axis=1)
 
     interior_edges = np.setdiff1d(np.arange(ne), mesh.boundary_edges)
+    midpoint_keys = np.rint(2 * mesh.n * mesh.edge_midpoints).astype(np.int64)
+    interior_edges = _dissection_order(midpoint_keys, interior_edges)
     ni = interior_edges.size
     number = np.full(ne, -1)
     number[interior_edges] = np.arange(ni)
@@ -136,14 +149,52 @@ def _hybrid_operators(forms: AssembledForms) -> HybridOperators:
                        minlength=keys.size)
     pair_cell = np.repeat(np.arange(nc), 9)[keep]
     pair_vv = (v[:, :, None] * v[:, None, :]).ravel()[keep]
-    _, owner_slot = np.unique(mesh.cell_edges.ravel(), return_index=True)
 
-    arrays = (signs, minv, m, beta, v, interior_edges,
+    # The slot of local edge k of cell T is k nc + T.
+    _, first = np.unique(mesh.cell_edges.ravel(), return_index=True)
+    owner_slot = first % 3 * nc + first // 3
+    slot_multiplier = local.T.ravel()
+    interior_slots = np.flatnonzero(slot_multiplier >= 0)
+    edge_slots = interior_slots[np.argsort(
+        slot_multiplier[interior_slots], kind="stable")].reshape(ni, 2).T
+    slot_multiplier[slot_multiplier < 0] = ni
+
+    arrays = (signs.T.copy(), minv.transpose(1, 2, 0).copy(), m.T.copy(),
+              beta, v.T.copy(), interior_edges,
               indptr.astype(np.int32), (keys % ni).astype(np.int32), base,
-              pair_pos, pair_cell, pair_vv, owner_slot)
+              pair_pos, pair_cell, pair_vv, owner_slot, edge_slots.copy(),
+              slot_multiplier)
     for a in arrays:
         a.flags.writeable = False
     return HybridOperators(*arrays)
+
+
+_DISSECTION_LEAF = 16
+
+
+def _dissection_order(keys: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The edges ``idx`` in nested-dissection order, given the integer
+    keys of all edges' midpoints, twice their coordinates in units of h.
+
+    A box of more than ``_DISSECTION_LEAF`` edges is split across its
+    longer extent at the grid line (even key) nearest the median: the
+    edges below it come first, then those above, then those on it.  Each
+    cell lies on one side of a grid line, so the edges on it separate the
+    two sides in the multiplier graph (edges that share a cell).
+    """
+    box = keys[idx]
+    lo, hi = box.min(axis=0), box.max(axis=0)
+    axis = int(np.argmax(hi - lo))
+    # The even keys strictly inside the box along that axis.
+    first = lo[axis] + 2 - lo[axis] % 2
+    last = hi[axis] - 2 + hi[axis] % 2
+    if idx.size <= _DISSECTION_LEAF or first > last:
+        return idx
+    coord = box[:, axis]
+    line = min(max(2 * round(np.median(coord) / 2), first), last)
+    return np.concatenate([_dissection_order(keys, idx[coord < line]),
+                           _dissection_order(keys, idx[coord > line]),
+                           idx[coord == line]])
 
 
 def assemble_forms(mesh: Mesh, g_dirichlet=0.0) -> AssembledForms:

@@ -34,13 +34,17 @@ all weights d_T >= 0, zero included, take the same path.  Each entry of
 rhs_flux belongs to the lowest-numbered cell of its edge; u_T and q
 follow cell by cell from lambda.
 
-The reduced matrix is factorized once by a sparse LU with a symmetric
-ordering and diagonal pivoting, and the factorization reused across
-solves; each factorization keeps the system it was built from, so L-type
-schemes keep one factorization for a whole run (the step loop rejects one
-built for another (L, tau)) while Newton must refactorize every
-iteration.  ``SaddleSystem.matrix`` builds the full block matrix on
-demand as the oracle for tests and ``residual_norm``.
+The reduced matrix is factorized once by a sparse LU with diagonal
+pivoting and a symmetric fill-reducing ordering, and the factorization
+reused across solves.  The flux Schur complement is ordered by SuperLU's
+minimum degree on A^T + A at each factorization; the hybridized matrix
+is assembled with its multipliers already in nested-dissection order
+(George 1973), computed once per mesh with the hybrid operators, and is
+factorized in that order.  Each factorization keeps the system it was
+built from, so L-type schemes keep one factorization for a whole run
+(the step loop rejects one built for another (L, tau)) while Newton must
+refactorize every iteration.  ``SaddleSystem.matrix`` builds the full
+block matrix on demand as the oracle for tests and ``residual_norm``.
 
 A ``Factorization`` is immutable; solves are pure functions of
 (factorization, right-hand side) and repeated solves are bit-identical.
@@ -161,10 +165,14 @@ def factorize(system: SaddleSystem) -> Factorization:
     """Compute the sparse LU decomposition of the reduced matrix.
 
     The ordering is symmetric and pivots stay on the diagonal, which
-    both symmetric positive definite reductions allow.
+    both symmetric positive definite reductions allow: minimum degree
+    for the flux Schur complement, and for the hybridized matrix the
+    nested-dissection order its rows already have, so SuperLU computes
+    no ordering.
     """
     try:
-        lu = spla.splu(system.reduced, permc_spec="MMD_AT_PLUS_A",
+        order = "MMD_AT_PLUS_A" if system.den is None else "NATURAL"
+        lu = spla.splu(system.reduced, permc_spec=order,
                        diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True))
     except RuntimeError as exc:
@@ -197,23 +205,28 @@ def _solve_hybrid(fact: Factorization, rhs_scalar, rhs_flux):
     and q cell by cell."""
     system = fact.system
     hybrid = system.forms.hybrid
-    cell_edges = system.forms.mesh.cell_edges
-    nc, ne = system.num_cells, system.num_edges
+    minv, signs, v = hybrid.minv, hybrid.signs, hybrid.v
     tau, den = system.tau, system.den
-    rho = np.zeros(3 * nc)
-    rho[hybrid.owner_slot] = rhs_flux
-    m_rho = np.einsum("ckl,cl->ck", hybrid.minv, rho.reshape(nc, 3))
-    u0 = (rhs_scalar - tau * np.einsum("ck,ck->c", hybrid.signs, m_rho)) / den
-    local_rhs = hybrid.signs * m_rho + hybrid.v * u0[:, None]
-    rhs = np.bincount(cell_edges.ravel(), weights=local_rhs.ravel(),
-                      minlength=ne)[hybrid.interior_edges]
-    lam = np.zeros(ne)
-    lam[hybrid.interior_edges] = fact.lu.solve(rhs)
-    lam = lam[cell_edges]
-    u = u0 + tau * np.einsum("ck,ck->c", hybrid.v, lam) / den
-    q = (m_rho + hybrid.m * u[:, None]
-         - np.einsum("ckl,cl->ck", hybrid.minv, hybrid.signs * lam))
+    rho = np.zeros(signs.shape)
+    rho.ravel()[hybrid.owner_slot] = rhs_flux
+    # minv is symmetric, so row l of each block is its column l.
+    m_rho = _local_sum(minv * rho[:, None])
+    s_m_rho = signs * m_rho
+    u0 = (rhs_scalar - tau * _local_sum(s_m_rho)) / den
+    local_rhs = (s_m_rho + v * u0).ravel()
+    first, second = hybrid.edge_slots
+    lam = np.append(fact.lu.solve(local_rhs[first] + local_rhs[second]), 0.0)
+    lam = lam[hybrid.slot_multiplier].reshape(signs.shape)
+    u = u0 + tau * _local_sum(v * lam) / den
+    q = m_rho + hybrid.m * u - _local_sum(minv * (signs * lam)[:, None])
     return u, q.ravel()[hybrid.owner_slot]
+
+
+def _local_sum(terms):
+    """Sum of the three local-edge terms ``terms[k]`` of every cell, in
+    the order numpy's ``einsum`` adds three terms, (0 + 2) + 1, so the
+    solve gives the bits of the batched ``einsum`` formulation."""
+    return (terms[0] + terms[2]) + terms[1]
 
 
 def residual_norm(system: SaddleSystem, u, q, rhs_scalar, rhs_flux) -> float:

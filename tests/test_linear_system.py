@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -189,6 +190,74 @@ def test_hybrid_fill_matches_flux_schur_complement():
         return lu.L.nnz + lu.U.nnz
 
     assert fill(_newton_weights(forms, 1e-4)) <= 1.1 * fill(1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 11, 32])
+def test_interior_edges_are_a_permutation(n):
+    mesh = build_structured_unit_square(n)
+    interior = assemble_forms(mesh).hybrid.interior_edges
+    np.testing.assert_array_equal(
+        np.sort(interior),
+        np.setdiff1d(np.arange(mesh.num_edges), mesh.boundary_edges))
+
+
+@pytest.mark.parametrize("n, dissection, minimum_degree", [
+    (32, 64_088, 72_550),
+    (64, 318_332, 364_888),
+])
+def test_dissection_fills_less_than_minimum_degree(n, dissection,
+                                                    minimum_degree):
+    # Newton's hybridized matrix factorized in dissection order, against
+    # SuperLU's minimum degree ordering of the same matrix with the
+    # interior edges in index order.
+    forms = assemble_forms(build_structured_unit_square(n))
+    system = assemble(forms, _newton_weights(forms, 1e-4), 0.05)
+    lu = factorize(system).lu
+    by_index = np.argsort(forms.hybrid.interior_edges)
+    mmd = spla.splu(system.reduced[by_index][:, by_index].tocsc(),
+                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True))
+    assert lu.L.nnz + lu.U.nnz == dissection
+    assert mmd.L.nnz + mmd.U.nnz == minimum_degree
+
+
+def test_hybrid_solve_matches_batched_formulation():
+    # The cell-by-cell recovery as batched einsum over (cell, local edge)
+    # blocks and a bincount onto the edges: the solve gives the same bits.
+    forms = assemble_forms(build_structured_unit_square(5), -0.5)
+    mesh, hybrid = forms.mesh, forms.hybrid
+    nc, ne = forms.num_cells, forms.num_edges
+    rng = np.random.default_rng(12)
+    weights = rng.uniform(0.0, 3.0, size=nc)
+    weights[rng.random(nc) < 0.5] = 0.0
+    tau = 0.05
+    system = assemble(forms, weights, tau)
+    fact = factorize(system)
+    rhs_s = rng.normal(size=nc)
+    rhs_f = rng.normal(size=ne)
+
+    signs, m, v = (np.ascontiguousarray(a.T)
+                   for a in (hybrid.signs, hybrid.m, hybrid.v))
+    minv = np.ascontiguousarray(hybrid.minv.transpose(2, 0, 1))
+    den = system.den
+    _, owner = np.unique(mesh.cell_edges.ravel(), return_index=True)
+    rho = np.zeros(3 * nc)
+    rho[owner] = rhs_f
+    m_rho = np.einsum("ckl,cl->ck", minv, rho.reshape(nc, 3))
+    u0 = (rhs_s - tau * np.einsum("ck,ck->c", signs, m_rho)) / den
+    local_rhs = signs * m_rho + v * u0[:, None]
+    rhs = np.bincount(mesh.cell_edges.ravel(), weights=local_rhs.ravel(),
+                      minlength=ne)[hybrid.interior_edges]
+    lam = np.zeros(ne)
+    lam[hybrid.interior_edges] = fact.lu.solve(rhs)
+    lam = lam[mesh.cell_edges]
+    u_ref = u0 + tau * np.einsum("ck,ck->c", v, lam) / den
+    q_ref = (m_rho + m * u_ref[:, None]
+             - np.einsum("ckl,cl->ck", minv, signs * lam)).ravel()[owner]
+
+    u, q = solve(fact, rhs_s, rhs_f)
+    np.testing.assert_array_equal(u, u_ref)
+    np.testing.assert_array_equal(q, q_ref)
 
 
 @settings(max_examples=40, deadline=None)
