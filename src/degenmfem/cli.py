@@ -196,26 +196,28 @@ def _run_tables(args) -> int:
 
 
 def _run_theory(args) -> int:
-    if not 0.0 < args.alpha < 1.0:
-        _usage_error("--alpha must lie in (0, 1) for the delta selection")
-    if args.tol <= 0 or args.tau <= 0:
-        _usage_error("--tol and --tau must be positive")
-    spec = NonlinearitySpec(alpha=args.alpha)
-    delta_raw = delta_closed_form(args.tol, args.tau, spec)
-    delta, big_l = select_delta(args.tol, args.tau, spec)
-    print(f"tol = {args.tol:g}, tau = {args.tau:g}, alpha = {args.alpha:g}")
-    print(f"C(alpha)            = {c_alpha(spec):.6g}")
-    print(f"delta (closed form) = {delta_raw:.6g}")
-    print(f"L = ceil(1/delta)   = {big_l}")
-    print(f"delta = 1/L         = {delta:.6g}")
-    print(f"R(delta, tau)       = {contraction_factor(delta, args.tau):.6g}")
-    print(f"accumulated bound   = {accumulated_error_bound(delta, args.tau, spec):.6g}"
-          f"  (TOL/2 = {args.tol / 2:.6g})")
-    if args.eps is not None:
-        if args.eps <= 0:
-            _usage_error("--eps must be positive")
-        print(f"regularized-L value = {select_L_regularized(args.eps, spec)}"
-              f"  (eps = {args.eps:g})")
+    # Compute every line before printing, so a bad flag prints nothing.
+    tol, tau = args.tol, args.tau
+    try:
+        spec = NonlinearitySpec(alpha=args.alpha)
+        delta, big_l = select_delta(tol, tau, spec)
+        bound = accumulated_error_bound(delta, tau, spec)
+        lines = [
+            f"tol = {tol:g}, tau = {tau:g}, alpha = {args.alpha:g}",
+            f"C(alpha)            = {c_alpha(spec):.6g}",
+            f"delta (closed form) = {delta_closed_form(tol, tau, spec):.6g}",
+            f"L = ceil(1/delta)   = {big_l}",
+            f"delta = 1/L         = {delta:.6g}",
+            f"R(delta, tau)       = {contraction_factor(delta, tau):.6g}",
+            f"accumulated bound   = {bound:.6g}  (TOL/2 = {tol / 2:.6g})",
+        ]
+        if args.eps is not None:
+            lines.append(
+                f"regularized-L value = {select_L_regularized(args.eps, spec)}"
+                f"  (eps = {args.eps:g})")
+    except ValueError as exc:
+        _usage_error(str(exc))
+    print("\n".join(lines))
     return 0
 
 

@@ -18,9 +18,9 @@ entries B_{TE} = s in {-1, +1}.
 
 Quadrature: flux-mass entries use the 3-point edge-midpoint rule, which
 is exact for the quadratic integrands of RT0 pairings; scalar
-projections use the one-point barycenter rule.  Dirichlet data enters
-the flux equation as a natural boundary functional with the trace
-evaluated at boundary-edge midpoints.
+projections use the one-point barycenter rule.  Dirichlet data, a
+constant trace, enters the flux equation as a natural boundary
+functional.
 
 ``AssembledForms`` is immutable after assembly and safe to share between
 threads; assembly itself is single-threaded.  Its ``hybrid`` operators
@@ -203,8 +203,9 @@ def assemble_forms(mesh: Mesh, g_dirichlet=0.0) -> AssembledForms:
     Parameters
     ----------
     mesh : Mesh
-    g_dirichlet : float or callable(x, y) -> float
-        Dirichlet trace of the scalar unknown on the domain boundary.
+    g_dirichlet : float
+        Constant Dirichlet trace of the scalar unknown on the domain
+        boundary.
     """
     nc, ne = mesh.num_cells, mesh.num_edges
     pts = mesh.vertices[mesh.cells]              # (nc, 3, 2)
@@ -239,14 +240,7 @@ def assemble_forms(mesh: Mesh, g_dirichlet=0.0) -> AssembledForms:
     ).tocsr()
 
     g = np.zeros(ne)
-    if mesh.boundary_edges.size:
-        mids = mesh.edge_midpoints[mesh.boundary_edges]
-        if callable(g_dirichlet):
-            vals = np.asarray(g_dirichlet(mids[:, 0], mids[:, 1]), dtype=float)
-            vals = np.broadcast_to(vals, (mesh.boundary_edges.size,))
-        else:
-            vals = np.full(mesh.boundary_edges.size, float(g_dirichlet))
-        g[mesh.boundary_edges] = -vals
+    g[mesh.boundary_edges] = -float(g_dirichlet)
     g.flags.writeable = False
     local_mass.flags.writeable = False
 

@@ -55,10 +55,10 @@ class RegularizationSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "quadratic"):
             raise ValueError(f"kind must be 'linear' or 'quadratic', got {self.kind!r}")
-        if self.epsilon is None or self.epsilon <= 0.0:
-            raise ValueError(f"regularization needs epsilon > 0, got {self.epsilon}")
-        if self.shift < 0.0:
-            raise ValueError("shift must be >= 0")
+        if self.epsilon is None or not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not 0.0 <= self.shift < np.inf:
+            raise ValueError(f"shift must be finite and >= 0, got {self.shift}")
 
 
 def b_value(spec: NonlinearitySpec, u):

@@ -1,12 +1,13 @@
-"""Time-step drivers for the three linear iterative schemes.
+"""One step function and one time-step loop for three linear schemes.
 
 Each backward Euler step requires solving the nonlinear system
 
     <b(u^n) - b(u^{n-1}), w> + tau <div q^n, w> = tau <f^n, w>,
     <q^n, v> - <u^n, div v> = -<g_D, v.n>_boundary,
 
-and all three schemes solve it with one loop: iteration i replaces the
-storage term by
+and all three schemes solve it with one loop, ``linearized_iterate``,
+defined by its ``SchemeConfig`` alone: iteration i replaces the storage
+term by
 
     w (u^i - u^{i-1}) + s(u^{i-1}),
 
@@ -91,8 +92,8 @@ class StoppingCriterion:
     def __post_init__(self):
         if self.mode not in ("against_reference", "increment"):
             raise ValueError(f"unknown stopping mode {self.mode!r}")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -120,22 +121,20 @@ class SchemeConfig:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"kind must be one of {SCHEME_KINDS}, got {self.kind!r}")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.kind == "hl":
             if self.nonlinearity is None:
                 raise ValueError("hl scheme requires a nonlinearity")
             if self.regularization is not None:
                 raise ValueError("hl scheme does not regularize")
-            if self.L is None or self.L <= 0.0:
-                raise ValueError("hl scheme requires L > 0")
-        else:
-            if self.regularization is None:
-                raise ValueError(f"{self.kind} scheme requires a regularization")
-            if self.kind == "lreg" and (self.L is None or self.L <= 0.0):
-                raise ValueError("lreg scheme requires L > 0")
-            if self.kind == "newton" and self.L is not None:
+        elif self.regularization is None:
+            raise ValueError(f"{self.kind} scheme requires a regularization")
+        if self.kind == "newton":
+            if self.L is not None:
                 raise ValueError("newton scheme takes no L")
+        elif self.L is None or not 0.0 < self.L < math.inf:
+            raise ValueError(f"{self.kind} scheme requires a finite L > 0")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -146,6 +145,13 @@ class SchemeConfig:
             return lambda u: b_value(spec, u)
         reg = self.regularization
         return lambda u: b_eps(reg, u)
+
+    def weights_function(self):
+        """Newton's per-cell weights b'_eps(u); None for a constant L."""
+        if self.kind != "newton":
+            return None
+        reg = self.regularization
+        return lambda u: b_eps_prime(reg, u)
 
 
 @dataclass
@@ -220,24 +226,28 @@ class _Stopping:
         return abs_sum < self.crit.tol and rel_u + rel_q < self.crit.tol, False
 
 
-def linearized_iterate(forms, config, storage_fn, weights_fn, storage_prev,
-                       u_init, f_n, fact=None):
-    """One time step of the linearized iteration shared by all schemes.
+def linearized_iterate(forms, config, storage_prev, u_init, f_n, fact=None):
+    """One time step of the scheme ``config`` defines.
 
-    ``storage_fn`` may be any monotone increasing, Holder continuous
-    storage nonlinearity evaluated per cell (the drivers pass the
-    built-in power law or its regularization); ``storage_prev`` holds
-    its values at the previous time-step solution.
+    Parameters
+    ----------
+    forms : AssembledForms
+    config : SchemeConfig; it gives the storage function s and the
+        weight w (the constant L, or b'_eps(u) for newton)
+    storage_prev : per-cell values of s(u^{n-1})
+    u_init : initial iterate, normally the previous time-step solution
+    f_n : per-cell source density at the new time level
+    fact : optional factorization of the constant-weight system (weights
+        L, step tau), shared across time steps by ``march``; one built
+        for another (L, tau) raises StaleFactorizationError.  Newton
+        refactorizes every iteration and rejects any (ValueError).
 
-    With ``weights_fn`` None the weight is the constant ``config.L`` and
-    the system (weights L, step tau) is assembled and factorized once
-    unless ``fact`` supplies it; a factorization built for another
-    (L, tau) raises StaleFactorizationError.  Otherwise the per-cell
-    weights ``weights_fn(u)`` of the current iterate are assembled and
-    factorized every iteration.  A singular system is reported as
+    Returns (u, q, IterationReport); a singular system is reported as
     non-convergence, not raised.
     """
     tau = config.tau
+    storage_fn = config.storage_function()
+    weights_fn = config.weights_function()
     if weights_fn is None:
         w = config.L
         if fact is None:
@@ -245,6 +255,9 @@ def linearized_iterate(forms, config, storage_fn, weights_fn, storage_prev,
         elif fact.system.tau != tau or np.any(fact.system.weights != w):
             raise StaleFactorizationError(
                 f"factorization was not built for (L, tau) = ({w:g}, {tau:g})")
+    elif fact is not None:
+        raise ValueError("newton refactorizes every iteration; "
+                         "it takes no factorization")
     areas = forms.scalar_mass
     base = areas * (np.asarray(storage_prev, dtype=float) + tau * np.asarray(f_n, dtype=float))
     rhs_flux = forms.dirichlet_functional
@@ -286,60 +299,14 @@ def linearized_iterate(forms, config, storage_fn, weights_fn, storage_prev,
     )
 
 
-def _check_kind(config, kind):
-    if config.kind != kind:
-        raise ValueError(f"expected a {kind!r} config, got {config.kind!r}")
-
-
-def hl_iterate(forms, config, b_prev, u_init, f_n, fact=None):
-    """One time step of the Holder-adapted L-scheme (no regularization).
-
-    Parameters
-    ----------
-    forms : AssembledForms
-    config : SchemeConfig with kind "hl"
-    b_prev : per-cell values of b(u^{n-1})
-    u_init : initial iterate, normally the previous time-step solution
-    f_n : per-cell source density at the new time level
-    fact : optional factorization of the system (weights L, step tau),
-        shared across time steps by ``march``
-
-    Returns
-    -------
-    (u, q, IterationReport)
-    """
-    _check_kind(config, "hl")
-    return linearized_iterate(forms, config, config.storage_function(), None,
-                              b_prev, u_init, f_n, fact)
-
-
-def regularized_l_iterate(forms, config, beps_prev, u_init, f_n, fact=None):
-    """One time step of the standard L-scheme on the regularized problem.
-
-    Identical loop to ``hl_iterate`` with b replaced by b_eps everywhere;
-    ``beps_prev`` holds the per-cell values of b_eps(u^{n-1}).
-    """
-    _check_kind(config, "lreg")
-    return linearized_iterate(forms, config, config.storage_function(), None,
-                              beps_prev, u_init, f_n, fact)
-
-
-def newton_iterate(forms, config, beps_prev, u_init, f_n):
-    """One time step of the Newton scheme on the regularized problem.
-
-    The scalar block carries the per-cell weights b'_eps(u^{i-1}), so the
-    system is reassembled and refactorized every iteration.
-    """
-    _check_kind(config, "newton")
-    reg = config.regularization
-    return linearized_iterate(forms, config, config.storage_function(),
-                              lambda u: b_eps_prime(reg, u),
-                              beps_prev, u_init, f_n)
+# march calls the driver of config.kind through these module names, and
+# per-layer tracing wraps them there.
+hl_iterate = regularized_l_iterate = newton_iterate = linearized_iterate
 
 
 def march(config, forms, u0, source_fn, n_steps, references=None,
           escalations=0):
-    """March n_steps backward Euler steps of constant size tau.
+    """March n_steps >= 1 backward Euler steps of constant size tau.
 
     Each step feeds the previous solution as the initial guess and as
     the storage right-hand-side term; ``source_fn(t_n, t_prev)`` returns
@@ -356,6 +323,8 @@ def march(config, forms, u0, source_fn, n_steps, references=None,
 
     Returns a list of TimeStepResult, one per executed step.
     """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if escalations and config.kind == "newton":
         raise ValueError("only a constant L can be escalated")
     storage_fn = config.storage_function()

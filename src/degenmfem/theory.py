@@ -34,8 +34,8 @@ from degenmfem.nonlinearity import NonlinearitySpec
 
 def contraction_factor(delta: float, tau: float) -> float:
     """Per-iteration contraction factor R = (1 + tau delta)^-1."""
-    if delta <= 0.0 or tau <= 0.0:
-        raise ValueError("delta and tau must be positive")
+    if not (0.0 < delta < math.inf and 0.0 < tau < math.inf):
+        raise ValueError("delta and tau must be positive and finite")
     return 1.0 / (1.0 + tau * delta)
 
 
@@ -64,8 +64,8 @@ def accumulated_error_bound(delta: float, tau: float,
     2 C(alpha) delta^(2/(1-alpha)) R/(1-R)
         = 2 C(alpha) delta^((1+alpha)/(1-alpha)) / tau.
     """
-    if delta <= 0.0 or tau <= 0.0:
-        raise ValueError("delta and tau must be positive")
+    if not (0.0 < delta < math.inf and 0.0 < tau < math.inf):
+        raise ValueError("delta and tau must be positive and finite")
     a = spec.alpha
     exponent = (1.0 + a) / (1.0 - a)
     return 2.0 * c_alpha(spec) * delta**exponent / tau
@@ -88,8 +88,8 @@ def delta_closed_form(tol: float, tau: float, spec: NonlinearitySpec) -> float:
 
     delta = (TOL tau / (4 C(alpha)))^((1-alpha)/(1+alpha)).
     """
-    if tol <= 0.0 or tau <= 0.0:
-        raise ValueError("tol and tau must be positive")
+    if not (0.0 < tol < math.inf and 0.0 < tau < math.inf):
+        raise ValueError("tol and tau must be positive and finite")
     a = spec.alpha
     if a >= 1.0:
         raise ValueError("delta selection requires alpha in (0, 1); any "
@@ -120,6 +120,6 @@ def select_L_regularized(epsilon: float, spec: NonlinearitySpec) -> int:
     Half the Lipschitz constant of b_eps is the convergence threshold of
     the scheme, rounded up to an integer.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     return _ceil_guarded(0.5 * epsilon ** (spec.alpha - 1.0))

@@ -56,12 +56,30 @@ def test_theory_with_eps(capsys):
          "--steps", "2", "--tol", "1e-3", "--eps", "1e-3", "--shift", "-0.5"],
         ["solve", "--scheme", "hl", "--n", "2", "--tau", "0.25",
          "--steps", "2", "--tol", "1e-3", "--reg-kind", "quadratic"],
+        # non-finite values
+        ["solve", "--scheme", "newton", "--n", "2", "--tau", "nan",
+         "--steps", "2", "--tol", "1e-3", "--eps", "1e-3"],
+        ["solve", "--scheme", "newton", "--n", "2", "--tau", "inf",
+         "--steps", "2", "--tol", "1e-3", "--eps", "1e-3"],
+        ["solve", "--scheme", "hl", "--n", "2", "--tau", "0.25",
+         "--steps", "2", "--tol", "nan"],
+        ["solve", "--scheme", "hl", "--n", "2", "--tau", "0.25",
+         "--steps", "2", "--tol", "1e-3", "--L", "nan"],
+        ["solve", "--scheme", "newton", "--n", "2", "--tau", "0.25",
+         "--steps", "2", "--tol", "1e-3", "--eps", "nan"],
+        ["solve", "--scheme", "lreg", "--n", "2", "--tau", "0.25",
+         "--steps", "2", "--tol", "1e-3", "--eps", "1e-3", "--shift", "inf"],
+        ["theory", "--tol", "nan", "--tau", "0.05"],
+        ["theory", "--tol", "1e-3", "--tau", "inf"],
+        # theory prints nothing when its last flag is bad
+        ["theory", "--tol", "1e-3", "--tau", "0.05", "--eps", "-1"],
     ],
 )
-def test_usage_errors_exit_1(argv):
+def test_usage_errors_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as info:
         _run(argv)
     assert info.value.code == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_solve_hl_smoke(tmp_path, capsys):

@@ -82,16 +82,6 @@ def test_dirichlet_functional_constant_trace():
     np.testing.assert_array_equal(g[interior], 0.0)
 
 
-def test_dirichlet_functional_callable_trace():
-    mesh = build_structured_unit_square(2)
-    forms = assemble_forms(mesh, lambda x, y: x + y)
-    mids = mesh.edge_midpoints[mesh.boundary_edges]
-    np.testing.assert_allclose(
-        forms.dirichlet_functional[mesh.boundary_edges],
-        -(mids[:, 0] + mids[:, 1]),
-    )
-
-
 def test_project_scalar():
     mesh = build_structured_unit_square(1)
     np.testing.assert_array_equal(project_scalar(mesh, lambda x, y: 1.0), 1.0)

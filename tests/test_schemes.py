@@ -4,7 +4,7 @@ import scipy.sparse.linalg as spla
 
 import degenmfem.schemes as schemes
 from degenmfem.fem import assemble_forms, l2_norm_scalar
-from degenmfem.linear_system import SingularSystemError
+from degenmfem.linear_system import SingularSystemError, assemble, factorize
 from degenmfem.mesh import build_structured_unit_square
 from degenmfem.nonlinearity import NonlinearitySpec, RegularizationSpec
 from degenmfem.schemes import (
@@ -107,6 +107,7 @@ def test_lipschitz_l_scheme_contracts_and_converges(forms):
     hist = report.error_history
     assert all(b <= a * (1 + 1e-12) for a, b in zip(hist, hist[1:]))
     np.testing.assert_allclose(u, u_star, atol=1e-8)
+    np.testing.assert_allclose(q, q_star, atol=1e-7)
 
 
 def test_hl_equals_lreg_for_lipschitz_nonlinearity(forms):
@@ -259,6 +260,32 @@ def test_run_time_series_calls_driver_of_kind_per_step(forms, monkeypatch,
     assert calls == [(DRIVERS[kind], kind)] * 2
 
 
+def test_driver_names_are_the_config_driven_step(forms):
+    # The config alone defines a step; Newton builds its own systems and
+    # rejects a factorization instead of ignoring it.
+    assert hl_iterate is regularized_l_iterate is newton_iterate \
+        is linearized_iterate
+    u_star, _, u_prev, f_n = _manufactured_linear_step(forms, seed=8)
+    stop = _reference_stop(u_star, tol=1e-9)
+    fact = factorize(assemble(forms, 40.0, 0.4))
+    with pytest.raises(ValueError, match="no factorization"):
+        linearized_iterate(forms, _holder_config("newton", stop), u_prev,
+                           u_prev, f_n, fact)
+
+
+@pytest.mark.parametrize("n_steps", [0, -1])
+def test_march_needs_a_step(forms, n_steps):
+    # An empty series would read as converged.
+    _, _, u_prev, f_n = _manufactured_linear_step(forms, seed=8)
+    config = _holder_config("hl", StoppingCriterion(mode="increment",
+                                                    tol=1e-8))
+    with pytest.raises(ValueError):
+        schemes.march(config, forms, u_prev, lambda tn, tp: f_n, n_steps)
+    with pytest.raises(ValueError):
+        run_time_series(config, forms.mesh, forms, u_prev,
+                        lambda tn, tp: f_n, n_steps)
+
+
 def test_march_escalates_only_a_constant_l(forms):
     _, _, u_prev, f_n = _manufactured_linear_step(forms, seed=8)
     config = _holder_config("newton", StoppingCriterion(mode="increment",
@@ -320,28 +347,6 @@ def test_run_time_series_aborts_on_failure(forms):
                               lambda tn, tp: f_n, 5, references=refs)
     assert len(results) == 1
     assert not results[0].report.converged
-
-
-def test_custom_storage_bundle(forms):
-    # The shared loop accepts any monotone Lipschitz/Holder storage
-    # function, not just the built-in power family.
-    tau = 0.4
-    rng = np.random.default_rng(14)
-    u_star = rng.uniform(0.5, 1.5, size=forms.num_cells)
-    u_prev = rng.uniform(0.5, 1.5, size=forms.num_cells)
-    q_star = spla.spsolve(forms.flux_mass.tocsc(),
-                          forms.divergence.T @ u_star
-                          + forms.dirichlet_functional)
-    f_n = ((np.tanh(u_star) - np.tanh(u_prev))
-           + tau * (forms.divergence @ q_star) / forms.scalar_mass) / tau
-    config = SchemeConfig(kind="hl", tau=tau,
-                          stopping=_reference_stop(u_star, tol=1e-9),
-                          nonlinearity=LIPSCHITZ, L=1.0)
-    u, q, report = linearized_iterate(forms, config, np.tanh, None,
-                                      np.tanh(u_prev), u_prev, f_n)
-    assert report.converged
-    np.testing.assert_allclose(u, u_star, atol=1e-8)
-    np.testing.assert_allclose(q, q_star, atol=1e-7)
 
 
 def test_mass_balance_residual_zero_for_exact_solution(forms):
