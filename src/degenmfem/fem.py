@@ -78,92 +78,163 @@ class AssembledForms:
         return _hybrid_operators(self)
 
 
+# The squares of a 2x2 macro, lower left, lower right, upper left and
+# upper right, list the macro positions of their bottom, top, right and
+# left sides.  Positions 0-3 are the inner cross: the horizontals left
+# and right, then the verticals below and above.  Positions 4-7 are the
+# outer sides of the left two squares and 8-11 those of the right two,
+# so a horizontal of the cross couples to 2-7 or to 2, 3 and 8-11.
+MACRO_SIDES = np.array([[4, 0, 2, 5],
+                        [8, 1, 9, 2],
+                        [0, 6, 3, 7],
+                        [1, 11, 10, 3]])
+
+
 @dataclass(frozen=True)
 class HybridOperators:
-    """Mesh-only operators of the hybridized mixed system.
+    """Mesh-only operators of the hybridized mixed system, laid out for
+    its condensation on 2x2 macro squares.
+
+    The cells are listed macro by macro: position t P/2 + q P/8 + M of
+    the P = 8 num_macros positions is the lower (t = 0) or upper (t = 1)
+    triangle of square q (``MACRO_SIDES`` order) of macro M.  Macros
+    cut by the top or right side of the domain (odd n) are completed by
+    phantom cells; ``cells`` gives the cell of each position, or
+    num_cells for a phantom, and ``positions`` the position of each
+    cell.  A lower triangle lists its bottom, right and diagonal edges,
+    an upper one its top, left and diagonal edges, so local edge k of
+    triangle t is side 2k + t of its square (bottom, top, right, left)
+    for k < 2; a slot is the flat index k P + p of local edge k of
+    position p.
 
     Per cell T, with signs s_T (as floats) and mass block M_T: ``minv``
-    is M_T^{-1}, symmetrized; ``m`` is M_T^{-1} s_T, ``beta`` is
-    s_T . m_T and ``v`` is s_T * m_T.  ``signs``, ``m`` and ``v`` are
-    stored local edge first, (3, num_cells), and ``minv`` as
-    (3, 3, num_cells), so the solve works on contiguous rows; a slot is
-    the flat index k * num_cells + T of local edge k of cell T.
+    is M_T^{-1}, symmetrized; ``m`` is M_T^{-1} s_T, ``beta`` (by cell)
+    is s_T . m_T and ``v`` is s_T * m_T.  ``signs``, ``m``, ``v`` and
+    ``inside`` are stored local edge first, (3, P), and ``minv``,
+    ``ssm`` and ``vv`` as (3, 3, P).  ``inside`` is 1 on the slots of
+    interior edges and 0 on the others, a phantom's included; ``ssm``
+    is S_T M_T^{-1} S_T and ``vv`` is v_T v_T^T on the interior slots,
+    while the other slots keep only a unit diagonal in ``ssm``, so their
+    multipliers decouple and solve to zero.  The rest is zero on
+    phantoms.
 
-    The multiplier matrix lives on ``interior_edges``, listed in
-    nested-dissection order (``_dissection_order``), with the fixed
-    pattern (``indptr``, ``indices``) of the interior block of M in that
-    order; ``base`` is the data of sum_T S_T M_T^{-1} S_T in it.  Each
-    local pair (k, l) of interior edges of a cell is one entry j:
-    ``pair_cell[j]`` is the cell, ``pair_vv[j]`` its (v_T v_T^T)_{kl}
-    and ``pair_pos[j]`` its position in the data.  ``owner_slot[E]`` is
-    the slot of edge E in its lowest-numbered cell, ``edge_slots[:, i]``
-    the two slots of the i-th multiplier and ``slot_multiplier`` the
-    multiplier of each slot, or the number of multipliers for a boundary
-    slot.  ``minv`` is exactly symmetric, so ``minv[l]`` holds the
-    columns l of the blocks.
+    The skeleton is the interior edges on the macros' boundaries;
+    ``skeleton_edges`` lists them in nested-dissection order
+    (``_dissection_order``), with the fixed pattern (``indptr``,
+    ``indices``) of their condensed matrix.  ``macro_multiplier[b, M]``
+    is the skeleton number of position 4 + b of macro M, or the number
+    of skeleton edges if it has none, and ``skeleton_slots[:, i]`` the
+    two flat (8, num_macros) indices of skeleton edge i.  Each pair of
+    skeleton positions of a macro adds the flat entry ``pair_slot[j]``
+    of the upper triangles of the macros' (12, 12, num_macros) blocks to
+    entry ``pair_pos[j]`` of the pattern.  ``owner_slot[E]``
+    is the slot of edge E in its lowest-numbered cell.  ``minv`` is
+    exactly symmetric, so ``minv[l]`` holds the columns l of the blocks.
     """
 
+    cells: np.ndarray
+    positions: np.ndarray
     signs: np.ndarray
     minv: np.ndarray
     m: np.ndarray
     beta: np.ndarray
     v: np.ndarray
-    interior_edges: np.ndarray
+    inside: np.ndarray
+    ssm: np.ndarray
+    vv: np.ndarray
+    skeleton_edges: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    base: np.ndarray
     pair_pos: np.ndarray
-    pair_cell: np.ndarray
-    pair_vv: np.ndarray
+    pair_slot: np.ndarray
     owner_slot: np.ndarray
-    edge_slots: np.ndarray
-    slot_multiplier: np.ndarray
+    skeleton_slots: np.ndarray
+    macro_multiplier: np.ndarray
 
 
 def _hybrid_operators(forms: AssembledForms) -> HybridOperators:
     mesh = forms.mesh
-    nc, ne = forms.num_cells, forms.num_edges
-    signs = mesh.cell_edge_signs.astype(float)
-    minv = np.linalg.inv(forms.local_mass)
+    n, nc, ne = mesh.n, forms.num_cells, forms.num_edges
+    # Upper triangles (odd cells) list their edges top, left, diagonal.
+    rotate = np.where(np.arange(nc)[:, None] % 2, [1, 2, 0], [0, 1, 2])
+    cell_edges = np.take_along_axis(mesh.cell_edges, rotate, axis=1)
+    signs = np.take_along_axis(mesh.cell_edge_signs, rotate,
+                               axis=1).astype(float)
+    local_mass = forms.local_mass[np.arange(nc)[:, None, None],
+                                  rotate[:, :, None], rotate[:, None, :]]
+    minv = np.linalg.inv(local_mass)
     minv = 0.5 * (minv + minv.transpose(0, 2, 1))
     m = np.einsum("ckl,cl->ck", minv, signs)
     v = signs * m
     beta = v.sum(axis=1)
+    interior = np.ones(ne + 1, dtype=bool)
+    interior[mesh.boundary_edges] = False
+    interior[ne] = False   # index -1: no edge
+    inside = interior[cell_edges].astype(float)
+    mask = inside[:, :, None] * inside[:, None, :]
+    ssm = signs[:, :, None] * minv * signs[:, None, :] * mask
+    ssm += np.eye(3) * (1.0 - inside)[:, None, :]
+    vv = v[:, :, None] * v[:, None, :] * mask
 
-    interior_edges = np.setdiff1d(np.arange(ne), mesh.boundary_edges)
-    midpoint_keys = np.rint(2 * mesh.n * mesh.edge_midpoints).astype(np.int64)
-    interior_edges = _dissection_order(midpoint_keys, interior_edges)
-    ni = interior_edges.size
-    number = np.full(ne, -1)
-    number[interior_edges] = np.arange(ni)
-    local = number[mesh.cell_edges]
-    rows = np.repeat(local, 3, axis=1).ravel()
-    cols = np.tile(local, (1, 3)).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    keys, pair_pos = np.unique(rows[keep] * ni + cols[keep],
+    # Macro M = J side + I holds the squares (2I + i, 2J + j) with
+    # q = 2j + i; square (a, b) holds the cells 2(b n + a) + t.
+    side = (n + 1) // 2
+    nm = side * side
+    macro_i, macro_j = np.arange(nm) % side, np.arange(nm) // side
+    sq_i = 2 * macro_i + np.array([0, 1, 0, 1])[:, None]
+    sq_j = 2 * macro_j + np.array([0, 0, 1, 1])[:, None]
+    t = np.arange(2)[:, None, None]
+    cells = np.where((sq_i < n) & (sq_j < n), 2 * (sq_j * n + sq_i) + t,
+                     nc).ravel()
+    real = cells < nc
+    positions = np.empty(nc, dtype=np.intp)
+    positions[cells[real]] = np.flatnonzero(real)
+
+    def by_position(a, fill=0.0):
+        # Cell axis last, phantoms filled.
+        padded = np.concatenate([a, np.full((1,) + a.shape[1:], fill)])
+        return np.moveaxis(padded[cells], 0, -1).copy()
+
+    side_edges = by_position(cell_edges, -1)[:2].reshape(4, 4, nm)
+    position_edge = np.full((12, nm), -1)
+    for q, pos in enumerate(MACRO_SIDES):
+        position_edge[pos] = np.maximum(position_edge[pos], side_edges[:, q])
+    boundary = position_edge[4:]
+    skeleton = np.unique(boundary[interior[boundary]])
+    midpoint_keys = np.rint(2 * n * mesh.edge_midpoints).astype(np.int64)
+    skeleton = _dissection_order(midpoint_keys, skeleton)
+    nsk = skeleton.size
+    number = np.full(ne + 1, nsk)
+    number[skeleton] = np.arange(nsk)
+    macro_multiplier = number[boundary]
+    slot_multiplier = macro_multiplier.ravel()
+    slots = np.flatnonzero(slot_multiplier < nsk)
+    skeleton_slots = slots[np.argsort(
+        slot_multiplier[slots], kind="stable")].reshape(nsk, 2).T
+
+    # Every pair of skeleton positions of a macro adds the entry of the
+    # upper triangle of its block to one entry of the pattern.
+    b = np.arange(4, 12)
+    upper = np.minimum.outer(b, b) * 12 + np.maximum.outer(b, b)
+    rows = np.broadcast_to(macro_multiplier[:, None], (8, 8, nm)).ravel()
+    cols = np.broadcast_to(macro_multiplier[None], (8, 8, nm)).ravel()
+    keep = (rows < nsk) & (cols < nsk)
+    pair_slot = (upper[:, :, None] * nm + np.arange(nm)).ravel()[keep]
+    keys, pair_pos = np.unique(rows[keep] * nsk + cols[keep],
                                return_inverse=True)
     indptr = np.concatenate(
-        [[0], np.cumsum(np.bincount(keys // ni, minlength=ni))])
-    ssm = signs[:, :, None] * minv * signs[:, None, :]
-    base = np.bincount(pair_pos, weights=ssm.ravel()[keep],
-                       minlength=keys.size)
-    pair_cell = np.repeat(np.arange(nc), 9)[keep]
-    pair_vv = (v[:, :, None] * v[:, None, :]).ravel()[keep]
+        [[0], np.cumsum(np.bincount(keys // nsk, minlength=nsk))])
 
-    # The slot of local edge k of cell T is k nc + T.
-    _, first = np.unique(mesh.cell_edges.ravel(), return_index=True)
-    owner_slot = first % 3 * nc + first // 3
-    slot_multiplier = local.T.ravel()
-    interior_slots = np.flatnonzero(slot_multiplier >= 0)
-    edge_slots = interior_slots[np.argsort(
-        slot_multiplier[interior_slots], kind="stable")].reshape(ni, 2).T
-    slot_multiplier[slot_multiplier < 0] = ni
+    # The slot of local edge k of position p is k P + p.
+    _, first = np.unique(cell_edges.ravel(), return_index=True)
+    owner_slot = first % 3 * cells.size + positions[first // 3]
 
-    arrays = (signs.T.copy(), minv.transpose(1, 2, 0).copy(), m.T.copy(),
-              beta, v.T.copy(), interior_edges,
-              indptr.astype(np.int32), (keys % ni).astype(np.int32), base,
-              pair_pos, pair_cell, pair_vv, owner_slot, edge_slots.copy(),
-              slot_multiplier)
+    arrays = (cells, positions, by_position(signs), by_position(minv),
+              by_position(m), beta, by_position(v), by_position(inside),
+              by_position(ssm, np.eye(3)), by_position(vv), skeleton,
+              indptr.astype(np.int32), (keys % nsk).astype(np.int32),
+              pair_pos, pair_slot, owner_slot, skeleton_slots.copy(),
+              macro_multiplier)
     for a in arrays:
         a.flags.writeable = False
     return HybridOperators(*arrays)
@@ -182,13 +253,15 @@ def _dissection_order(keys: np.ndarray, idx: np.ndarray) -> np.ndarray:
     cell lies on one side of a grid line, so the edges on it separate the
     two sides in the multiplier graph (edges that share a cell).
     """
+    if idx.size <= _DISSECTION_LEAF:
+        return idx
     box = keys[idx]
     lo, hi = box.min(axis=0), box.max(axis=0)
     axis = int(np.argmax(hi - lo))
     # The even keys strictly inside the box along that axis.
     first = lo[axis] + 2 - lo[axis] % 2
     last = hi[axis] - 2 + hi[axis] % 2
-    if idx.size <= _DISSECTION_LEAF or first > last:
+    if first > last:
         return idx
     coord = box[:, axis]
     line = min(max(2 * round(np.median(coord) / 2), first), last)

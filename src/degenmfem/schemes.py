@@ -219,11 +219,14 @@ class _Stopping:
         self.error_history.append(abs_sum)
         if not math.isfinite(abs_sum) or abs_sum > DIVERGENCE_THRESHOLD:
             return False, True
+        if abs_sum >= self.crit.tol:
+            # Both tests must pass; the relative norms cannot decide.
+            return False, False
         norm_u = l2_norm_scalar(self.mesh, u_new)
         norm_q = l2_norm_flux(self.forms, q_new)
         rel_u = du / norm_u if norm_u > 0.0 else (0.0 if du == 0.0 else math.inf)
         rel_q = dq / norm_q if norm_q > 0.0 else (0.0 if dq == 0.0 else math.inf)
-        return abs_sum < self.crit.tol and rel_u + rel_q < self.crit.tol, False
+        return rel_u + rel_q < self.crit.tol, False
 
 
 def linearized_iterate(forms, config, storage_prev, u_init, f_n, fact=None):

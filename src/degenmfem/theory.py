@@ -28,6 +28,7 @@ All functions here are pure and thread-safe.
 """
 
 import math
+import sys
 
 from degenmfem.nonlinearity import NonlinearitySpec
 
@@ -110,6 +111,9 @@ def select_delta(tol: float, tau: float, spec: NonlinearitySpec):
     (delta, L) : (float, int)
     """
     delta_raw = delta_closed_form(tol, tau, spec)
+    if not delta_raw > 1.0 / sys.float_info.max:
+        raise ValueError(f"tol = {tol:g} and tau = {tau:g} are too small: "
+                         "1/delta overflows")
     big_l = _ceil_guarded(1.0 / delta_raw)
     return 1.0 / big_l, big_l
 

@@ -71,6 +71,8 @@ def test_theory_with_eps(capsys):
          "--steps", "2", "--tol", "1e-3", "--eps", "1e-3", "--shift", "inf"],
         ["theory", "--tol", "nan", "--tau", "0.05"],
         ["theory", "--tol", "1e-3", "--tau", "inf"],
+        # tol * tau underflows, so 1/delta would divide by zero
+        ["theory", "--tol", "1e-300", "--tau", "1e-300"],
         # theory prints nothing when its last flag is bad
         ["theory", "--tol", "1e-3", "--tau", "0.05", "--eps", "-1"],
     ],

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,6 +121,13 @@ def _weights(pattern, forms, rng):
     return _newton_weights(forms, 1e-3)
 
 
+def _num_skeleton(n):
+    # Interior horizontals and verticals on the even grid lines, which
+    # bound the 2x2 macro squares: n edges on each of (n - 1) // 2 lines
+    # per direction.
+    return 2 * n * ((n - 1) // 2)
+
+
 def _newton_weights(forms, eps):
     # Newton's weights b'_eps(u) at the manufactured solution, t = 0.25:
     # zero on the dry cells u < 0, positive elsewhere.
@@ -147,9 +155,8 @@ def test_reduced_solve_matches_dense_oracle(n, pattern):
     weights = _weights(pattern, forms, rng)
     system = assemble(forms, weights, 0.05)
     fact = factorize(system)
-    num_interior = forms.num_edges - forms.mesh.boundary_edges.size
     assert fact.lu.shape[0] == (forms.num_edges if pattern == "positive"
-                                else num_interior)
+                                else _num_skeleton(n))
     rhs_s = rng.normal(size=forms.num_cells)
     rhs_f = rng.normal(size=forms.num_edges)
     u, q = solve(fact, rhs_s, rhs_f)
@@ -194,70 +201,132 @@ def test_hybrid_fill_matches_flux_schur_complement():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 11, 32])
 def test_interior_edges_are_a_permutation(n):
+    # The multipliers left to SuperLU list each interior edge on a macro
+    # boundary once: the edges whose midpoint lies on an even grid line.
+    # Every other interior edge is a diagonal or inside a macro.
     mesh = build_structured_unit_square(n)
-    interior = assemble_forms(mesh).hybrid.interior_edges
+    skeleton = assemble_forms(mesh).hybrid.skeleton_edges
+    interior = np.setdiff1d(np.arange(mesh.num_edges), mesh.boundary_edges)
+    keys = np.rint(2 * n * mesh.edge_midpoints[interior]).astype(int)
     np.testing.assert_array_equal(
-        np.sort(interior),
-        np.setdiff1d(np.arange(mesh.num_edges), mesh.boundary_edges))
+        np.sort(skeleton), interior[(keys % 4 == 0).any(axis=1)])
+    assert skeleton.size == _num_skeleton(n)
 
 
-@pytest.mark.parametrize("n, dissection, minimum_degree", [
-    (32, 64_088, 72_550),
-    (64, 318_332, 364_888),
+@pytest.mark.parametrize("n, size, dissection, minimum_degree", [
+    (32, 960, 41_408, 46_160),
+    (64, 3_968, 226_176, 271_392),
 ])
-def test_dissection_fills_less_than_minimum_degree(n, dissection,
+def test_dissection_fills_less_than_minimum_degree(n, size, dissection,
                                                     minimum_degree):
-    # Newton's hybridized matrix factorized in dissection order, against
+    # Newton's condensed matrix factorized in dissection order, against
     # SuperLU's minimum degree ordering of the same matrix with the
-    # interior edges in index order.
+    # skeleton edges in index order.
     forms = assemble_forms(build_structured_unit_square(n))
     system = assemble(forms, _newton_weights(forms, 1e-4), 0.05)
     lu = factorize(system).lu
-    by_index = np.argsort(forms.hybrid.interior_edges)
+    by_index = np.argsort(forms.hybrid.skeleton_edges)
     mmd = spla.splu(system.reduced[by_index][:, by_index].tocsc(),
                     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                     options=dict(SymmetricMode=True))
+    assert lu.shape == (size, size)
     assert lu.L.nnz + lu.U.nnz == dissection
     assert mmd.L.nnz + mmd.U.nnz == minimum_degree
 
 
-def test_hybrid_solve_matches_batched_formulation():
-    # The cell-by-cell recovery as batched einsum over (cell, local edge)
-    # blocks and a bincount onto the edges: the solve gives the same bits.
-    forms = assemble_forms(build_structured_unit_square(5), -0.5)
-    mesh, hybrid = forms.mesh, forms.hybrid
+def _uncondensed_hybrid(forms, weights, tau):
+    """The hybridized matrix on all interior edges, in index order, and
+    the map from a multiplier vector to (u, q), in the batched cell-major
+    formulation, built from the forms alone."""
+    mesh = forms.mesh
     nc, ne = forms.num_cells, forms.num_edges
-    rng = np.random.default_rng(12)
-    weights = rng.uniform(0.0, 3.0, size=nc)
-    weights[rng.random(nc) < 0.5] = 0.0
-    tau = 0.05
+    signs = mesh.cell_edge_signs.astype(float)
+    minv = np.linalg.inv(forms.local_mass)
+    m = np.einsum("ckl,cl->ck", minv, signs)
+    v = signs * m
+    den = weights * forms.scalar_mass + tau * v.sum(axis=1)
+    local = (signs[:, :, None] * minv * signs[:, None, :]
+             - (tau / den)[:, None, None] * v[:, :, None] * v[:, None, :])
+    rows = np.repeat(mesh.cell_edges, 3, axis=1).ravel()
+    cols = np.tile(mesh.cell_edges, (1, 3)).ravel()
+    interior = np.setdiff1d(np.arange(ne), mesh.boundary_edges)
+    matrix = sps.coo_matrix((local.ravel(), (rows, cols)),
+                            shape=(ne, ne)).toarray()[np.ix_(interior,
+                                                             interior)]
+    _, owner = np.unique(mesh.cell_edges.ravel(), return_index=True)
+
+    def solve_with(rhs_s, rhs_f):
+        rho = np.zeros(3 * nc)
+        rho[owner] = rhs_f
+        m_rho = np.einsum("ckl,cl->ck", minv, rho.reshape(nc, 3))
+        u0 = (rhs_s - tau * np.einsum("ck,ck->c", signs, m_rho)) / den
+        rhs = np.bincount(mesh.cell_edges.ravel(),
+                          weights=(signs * m_rho + v * u0[:, None]).ravel(),
+                          minlength=ne)[interior]
+        lam = np.zeros(ne)
+        lam[interior] = np.linalg.solve(matrix, rhs)
+        lam = lam[mesh.cell_edges]
+        u = u0 + tau * np.einsum("ck,ck->c", v, lam) / den
+        q = (m_rho + m * u[:, None]
+             - np.einsum("ckl,cl->ck", minv, signs * lam)).ravel()[owner]
+        return u, q
+
+    return matrix, interior, solve_with
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_condensed_matrix_is_schur_complement_of_hybridized(n):
+    # Condensing the diagonals and the inner crosses leaves the Schur
+    # complement of the whole hybridized matrix on the skeleton, and the
+    # solve matches the uncondensed one; odd n has partial macros.
+    forms = assemble_forms(build_structured_unit_square(n), -0.5)
+    rng = np.random.default_rng(12 + n)
+    weights = rng.uniform(0.0, 3.0, size=forms.num_cells)
+    weights[rng.random(forms.num_cells) < 0.5] = 0.0
+    system = assemble(forms, weights, 0.05)
+    matrix, interior, solve_with = _uncondensed_hybrid(forms, weights, 0.05)
+    keep = np.searchsorted(interior, forms.hybrid.skeleton_edges)
+    drop = np.setdiff1d(np.arange(interior.size), keep)
+    schur = (matrix[np.ix_(keep, keep)] - matrix[np.ix_(keep, drop)]
+             @ np.linalg.solve(matrix[np.ix_(drop, drop)],
+                               matrix[np.ix_(drop, keep)]))
+    np.testing.assert_allclose(system.reduced.toarray(), schur, rtol=0,
+                               atol=1e-12 * np.abs(schur).max())
+    fact = factorize(system)
+    rhs_s = rng.normal(size=forms.num_cells)
+    rhs_f = rng.normal(size=forms.num_edges)
+    u, q = solve(fact, rhs_s, rhs_f)
+    u_ref, q_ref = solve_with(rhs_s, rhs_f)
+    np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(q, q_ref, rtol=0, atol=1e-12)
+    # A system assembled anew solves to the same bits.
+    again = solve(factorize(assemble(forms, weights, 0.05)), rhs_s, rhs_f)
+    np.testing.assert_array_equal(again[0], u)
+    np.testing.assert_array_equal(again[1], q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+       dry=st.floats(0.0, 1.0), tau=st.floats(1e-3, 1.0))
+def test_condensed_solve_matches_dense_oracle(n, seed, dry, tau):
+    # n = 1 and 2 condense every multiplier; odd n has partial macros
+    # along the top and right sides.
+    forms = assemble_forms(build_structured_unit_square(n), -0.5)
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.0, 3.0, size=forms.num_cells)
+    weights[rng.random(forms.num_cells) < dry] = 0.0
+    weights[rng.integers(forms.num_cells)] = 0.0
     system = assemble(forms, weights, tau)
     fact = factorize(system)
-    rhs_s = rng.normal(size=nc)
-    rhs_f = rng.normal(size=ne)
-
-    signs, m, v = (np.ascontiguousarray(a.T)
-                   for a in (hybrid.signs, hybrid.m, hybrid.v))
-    minv = np.ascontiguousarray(hybrid.minv.transpose(2, 0, 1))
-    den = system.den
-    _, owner = np.unique(mesh.cell_edges.ravel(), return_index=True)
-    rho = np.zeros(3 * nc)
-    rho[owner] = rhs_f
-    m_rho = np.einsum("ckl,cl->ck", minv, rho.reshape(nc, 3))
-    u0 = (rhs_s - tau * np.einsum("ck,ck->c", signs, m_rho)) / den
-    local_rhs = signs * m_rho + v * u0[:, None]
-    rhs = np.bincount(mesh.cell_edges.ravel(), weights=local_rhs.ravel(),
-                      minlength=ne)[hybrid.interior_edges]
-    lam = np.zeros(ne)
-    lam[hybrid.interior_edges] = fact.lu.solve(rhs)
-    lam = lam[mesh.cell_edges]
-    u_ref = u0 + tau * np.einsum("ck,ck->c", v, lam) / den
-    q_ref = (m_rho + m * u_ref[:, None]
-             - np.einsum("ckl,cl->ck", minv, signs * lam)).ravel()[owner]
-
+    assert fact.lu.shape[0] == _num_skeleton(n)
+    rhs_s = rng.normal(size=forms.num_cells)
+    rhs_f = rng.normal(size=forms.num_edges)
     u, q = solve(fact, rhs_s, rhs_f)
-    np.testing.assert_array_equal(u, u_ref)
-    np.testing.assert_array_equal(q, q_ref)
+    assert residual_norm(system, u, q, rhs_s, rhs_f) < 1e-10
+    dense = np.linalg.solve(system.matrix.toarray(),
+                            np.concatenate([rhs_s, rhs_f]))
+    np.testing.assert_allclose(u, dense[: forms.num_cells], atol=1e-9)
+    np.testing.assert_allclose(q, dense[forms.num_cells:], atol=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -271,8 +340,7 @@ def test_solve_residual_with_random_zero_weights(n, seed, dry, tau):
     system = assemble(forms, weights, tau)
     fact = factorize(system)
     # The factorized size depends on whether a cell is dry, not on which.
-    num_interior = forms.num_edges - forms.mesh.boundary_edges.size
-    assert fact.lu.shape[0] == (num_interior if np.any(weights == 0.0)
+    assert fact.lu.shape[0] == (_num_skeleton(n) if np.any(weights == 0.0)
                                 else forms.num_edges)
     rhs_s = rng.normal(size=forms.num_cells)
     rhs_f = rng.normal(size=forms.num_edges)

@@ -169,6 +169,60 @@ def test_increment_stopping_mode(forms):
     assert all(e < 1e6 for e in report.error_history)
 
 
+def _eager_update(self, u_new, q_new, u_old, q_old):
+    # The increment rule with both relative norms computed at every
+    # iteration, as it was before they became lazy.
+    du = l2_norm_scalar(self.mesh, u_new - u_old)
+    if q_old is None:
+        return False, not np.all(np.isfinite(u_new))
+    dq = schemes.l2_norm_flux(self.forms, q_new - q_old)
+    abs_sum = du + dq
+    self.error_history.append(abs_sum)
+    if not np.isfinite(abs_sum) or abs_sum > schemes.DIVERGENCE_THRESHOLD:
+        return False, True
+    rel = (du / l2_norm_scalar(self.mesh, u_new)
+           + dq / schemes.l2_norm_flux(self.forms, q_new))
+    return abs_sum < self.crit.tol and rel < self.crit.tol, False
+
+
+@pytest.mark.parametrize("kind", ["hl", "newton"])
+def test_increment_norms_only_below_tol(forms, monkeypatch, kind):
+    # The relative norms are computed only once the absolute increment
+    # is below TOL, and the report is the one of the eager rule.
+    tol = 1e-10
+    u_star, _, u_prev, f_n = _manufactured_linear_step(forms, seed=9)
+    stop = StoppingCriterion(mode="increment", tol=tol)
+    if kind == "hl":
+        config = SchemeConfig(kind="hl", tau=0.4, stopping=stop,
+                              nonlinearity=HOLDER, L=2.0)
+    else:
+        reg = RegularizationSpec(kind="linear", epsilon=1e-3, base=HOLDER)
+        config = SchemeConfig(kind="newton", tau=0.4, stopping=stop,
+                              regularization=reg)
+    storage = config.storage_function()(u_prev)
+
+    def step():
+        return linearized_iterate(forms, config, storage, u_prev, f_n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(schemes._Stopping, "update", _eager_update)
+        eager = step()[2]
+    calls = []
+    flux_norm = schemes.l2_norm_flux
+    monkeypatch.setattr(schemes, "l2_norm_flux",
+                        lambda *args: calls.append(1) or flux_norm(*args))
+    report = step()[2]
+    assert report.converged
+    assert report.iterations_used == eager.iterations_used
+    assert report.error_history == eager.error_history
+    # One increment norm per iteration from the second solve on, and one
+    # relative norm per increment below TOL.
+    history = report.error_history
+    below = sum(e < tol for e in history)
+    assert 1 <= below < len(history)
+    assert len(calls) == len(history) + below
+
+
 def test_max_iterations_reported(forms):
     tau = 0.05
     u_star, _, u_prev, f_n = _manufactured_linear_step(forms, seed=12)

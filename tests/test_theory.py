@@ -102,6 +102,12 @@ def test_select_delta_validation():
         select_delta(0.0, 0.05, SPEC)
     with pytest.raises(ValueError):
         select_delta(1e-3, 0.05, NonlinearitySpec(alpha=1.0))
+    # Positive and finite, but tol * tau underflows to zero (alpha 1/2)
+    # or delta is too small to invert (alpha near 0).
+    with pytest.raises(ValueError):
+        select_delta(1e-300, 1e-300, SPEC)
+    with pytest.raises(ValueError):
+        select_delta(1e-160, 1e-160, NonlinearitySpec(alpha=0.01))
 
 
 @pytest.mark.parametrize("eps,big_l", [(1e-3, 16), (1e-4, 50), (1e-5, 159)])
