@@ -120,8 +120,9 @@ class HybridOperators:
 
     The skeleton is the interior edges on the macros' boundaries;
     ``skeleton_edges`` lists them in nested-dissection order
-    (``_dissection_order``), with the fixed pattern (``indptr``,
-    ``indices``) of their condensed matrix.  ``macro_multiplier[b, M]``
+    (``_dissection_order``), with the fixed pattern of their condensed
+    matrix, ``skeleton_pattern`` (zero entries, its canonical format
+    checked once).  ``macro_multiplier[b, M]``
     is the skeleton number of position 4 + b of macro M, or the number
     of skeleton edges if it has none, and ``skeleton_slots[:, i]`` the
     two flat (8, num_macros) indices of skeleton edge i.  Each pair of
@@ -143,13 +144,12 @@ class HybridOperators:
     ssm: np.ndarray
     vv: np.ndarray
     skeleton_edges: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
     pair_pos: np.ndarray
     pair_slot: np.ndarray
     owner_slot: np.ndarray
     skeleton_slots: np.ndarray
     macro_multiplier: np.ndarray
+    skeleton_pattern: sps.csc_matrix
 
 
 def _hybrid_operators(forms: AssembledForms) -> HybridOperators:
@@ -224,6 +224,10 @@ def _hybrid_operators(forms: AssembledForms) -> HybridOperators:
                                return_inverse=True)
     indptr = np.concatenate(
         [[0], np.cumsum(np.bincount(keys // nsk, minlength=nsk))])
+    pattern = sps.csc_matrix((np.zeros(keys.size), (keys % nsk).astype(
+        np.int32), indptr.astype(np.int32)), shape=(nsk, nsk))
+    # Records that the pattern is canonical, so its copies skip the check.
+    pattern.sum_duplicates()
 
     # The slot of local edge k of position p is k P + p.
     _, first = np.unique(cell_edges.ravel(), return_index=True)
@@ -232,12 +236,11 @@ def _hybrid_operators(forms: AssembledForms) -> HybridOperators:
     arrays = (cells, positions, by_position(signs), by_position(minv),
               by_position(m), beta, by_position(v), by_position(inside),
               by_position(ssm, np.eye(3)), by_position(vv), skeleton,
-              indptr.astype(np.int32), (keys % nsk).astype(np.int32),
               pair_pos, pair_slot, owner_slot, skeleton_slots.copy(),
               macro_multiplier)
-    for a in arrays:
+    for a in arrays + (pattern.data, pattern.indices, pattern.indptr):
         a.flags.writeable = False
-    return HybridOperators(*arrays)
+    return HybridOperators(*arrays, pattern)
 
 
 _DISSECTION_LEAF = 16

@@ -21,12 +21,16 @@ per-cell linearization weight:
 * ``newton`` : s = b_eps and w = b'_eps(u^{i-1}), which makes the
                scalar block iteration-dependent.
 
-With a constant weight one matrix factorization serves all iterations of
-all time steps; Newton's weights change, so it reassembles and
-refactorizes every iteration.  The source functional <f, w> is carried
-on the right-hand side of every scheme.  ``march`` is the one time-step
-loop: the series driver and the benchmark's reference stage both call
-it, and it holds the factorizations the constant-weight steps share.
+With a constant weight one matrix factorization, with its precomputed
+solve operators, serves all iterations of all time steps; Newton's
+weights change, so it reassembles and refactorizes every iteration.  The
+flux q is formed every iteration only when the stopping rule reads it
+(increment stopping, or a flux reference); otherwise a constant-weight
+step forms it once, for its final iterate.  The source functional
+<f, w> is carried on the right-hand side of every scheme.  ``march`` is
+the one time-step loop: the series driver and the benchmark's reference
+stage both call it, and it holds the factorizations the constant-weight
+steps share.
 
 Stopping is either ``against_reference`` (L2 distance of the scalar
 iterate to a supplied reference field drops below TOL; the flux error
@@ -52,6 +56,7 @@ from degenmfem.linear_system import (
     StaleFactorizationError,
     assemble,
     factorize,
+    flux,
     solve,
 )
 from degenmfem.nonlinearity import (
@@ -190,6 +195,8 @@ class _Stopping:
             [] if (criterion.mode == "against_reference"
                    and criterion.flux_reference is not None) else None
         )
+        self.needs_flux = (criterion.mode == "increment"
+                           or self.flux_error_history is not None)
         if criterion.mode == "against_reference" and criterion.reference is None:
             raise ValueError("against_reference stopping needs a reference field")
 
@@ -263,9 +270,9 @@ def linearized_iterate(forms, config, storage_prev, u_init, f_n, fact=None):
                          "it takes no factorization")
     areas = forms.scalar_mass
     base = areas * (np.asarray(storage_prev, dtype=float) + tau * np.asarray(f_n, dtype=float))
-    rhs_flux = forms.dirichlet_functional
-
     tracker = _Stopping(forms, config.stopping)
+    # The flux is formed every iteration only when stopping reads it.
+    rhs_flux = forms.dirichlet_functional if tracker.needs_flux else None
     u = np.array(u_init, dtype=float, copy=True)
     # The flux of the previous iterate; increments start at the second solve.
     q_prev = None
@@ -287,11 +294,15 @@ def linearized_iterate(forms, config, storage_prev, u_init, f_n, fact=None):
             break
         converged, diverged = tracker.update(u_new, q_new, u, q_prev)
         u, q, q_prev = u_new, q_new, q_new
+        solved_rhs = rhs_scalar
         if diverged:
             reason = "divergence"
             break
         if converged:
             break
+    if q is None:
+        # Only a constant weight leaves q out, so fact is still its own.
+        q = flux(fact, solved_rhs)
 
     return u, q, IterationReport(
         iterations_used=iterations,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -5,12 +7,14 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degenmfem import linear_system
 from degenmfem.benchmark import DEFAULT_SOLUTION
 from degenmfem.fem import assemble_forms, project_scalar
 from degenmfem.linear_system import (
     StaleFactorizationError,
     assemble,
     factorize,
+    flux,
     residual_norm,
     solve,
 )
@@ -147,16 +151,14 @@ def _newton_weights(forms, eps):
 ])
 def test_reduced_solve_matches_dense_oracle(n, pattern):
     # The reduced solve against dense elimination on the full block
-    # matrix: with every weight positive the flux Schur complement on all
-    # edges is factorized, otherwise the hybridized matrix on the
-    # interior edges.
+    # matrix: whatever the weights, the condensed hybridized matrix on the
+    # skeleton is factorized.
     forms = assemble_forms(build_structured_unit_square(n), -0.5)
     rng = np.random.default_rng(100 + n)
     weights = _weights(pattern, forms, rng)
     system = assemble(forms, weights, 0.05)
     fact = factorize(system)
-    assert fact.lu.shape[0] == (forms.num_edges if pattern == "positive"
-                                else _num_skeleton(n))
+    assert fact.lu.shape[0] == _num_skeleton(n)
     rhs_s = rng.normal(size=forms.num_cells)
     rhs_f = rng.normal(size=forms.num_edges)
     u, q = solve(fact, rhs_s, rhs_f)
@@ -164,6 +166,42 @@ def test_reduced_solve_matches_dense_oracle(n, pattern):
                             np.concatenate([rhs_s, rhs_f]))
     np.testing.assert_allclose(u, dense[: forms.num_cells], atol=1e-9)
     np.testing.assert_allclose(q, dense[forms.num_cells:], atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 11])
+def test_operator_solve_matches_dense_oracle(n, monkeypatch):
+    # A constant weight is solved through its precomputed operators, with
+    # the forms' Dirichlet functional, random on every edge here, as the
+    # flux right-hand side.  Odd n has phantom cells, n = 1 no skeleton.
+    forms = assemble_forms(build_structured_unit_square(n))
+    rng = np.random.default_rng(40 + n)
+    forms = replace(forms,
+                    dirichlet_functional=rng.normal(size=forms.num_edges))
+    system = assemble(forms, 84.0, 0.05)
+    fact = factorize(system)
+
+    def per_call(*args):
+        raise AssertionError("solved per call, not by the operators")
+
+    monkeypatch.setattr(linear_system, "_solve_hybrid", per_call)
+    rhs_s = rng.normal(size=forms.num_cells)
+    rhs_f = forms.dirichlet_functional
+    u, q = solve(fact, rhs_s, rhs_f)
+    assert residual_norm(system, u, q, rhs_s, rhs_f) < 1e-10
+    dense = np.linalg.solve(system.matrix.toarray(),
+                            np.concatenate([rhs_s, rhs_f]))
+    np.testing.assert_allclose(u, dense[: forms.num_cells], atol=1e-9)
+    np.testing.assert_allclose(q, dense[forms.num_cells:], atol=1e-9)
+    # Without rhs_flux only u is formed, to the same bits; ``flux`` gives
+    # the same q, and an equal functional that is another array the same
+    # solve.
+    u_only, no_flux = solve(fact, rhs_s)
+    assert no_flux is None
+    np.testing.assert_array_equal(u_only, u)
+    np.testing.assert_array_equal(flux(fact, rhs_s), q)
+    again = solve(fact, rhs_s, rhs_f.copy())
+    np.testing.assert_array_equal(again[0], u)
+    np.testing.assert_array_equal(again[1], q)
 
 
 def test_hybrid_pattern_does_not_depend_on_dry_cells():
@@ -187,16 +225,25 @@ def test_hybrid_matrix_is_symmetric_positive_definite():
     np.linalg.cholesky(matrix.toarray())
 
 
-def test_hybrid_fill_matches_flux_schur_complement():
-    # The hybridized matrix of Newton's weights fills no more than the
-    # flux Schur complement of positive weights on the same mesh.
-    forms = assemble_forms(build_structured_unit_square(11))
+@pytest.mark.parametrize("n, fill", [(11, 2_768), (32, 41_408)])
+def test_constant_weight_fill_matches_newton(n, fill):
+    # A constant L factorizes the same skeleton pattern as Newton's
+    # weights, so both fill the same.  Its solve operators are local to
+    # the macros: a skeleton edge's right-hand side takes the 16 cells of
+    # its two macros, and a cell's u or an edge's q the 8 cells and at
+    # most 8 skeleton edges of its macro.
+    forms = assemble_forms(build_structured_unit_square(n))
 
-    def fill(weights):
+    def factor_nnz(weights):
         lu = factorize(assemble(forms, weights, 0.05)).lu
         return lu.L.nnz + lu.U.nnz
 
-    assert fill(_newton_weights(forms, 1e-4)) <= 1.1 * fill(1.0)
+    assert factor_nnz(_newton_weights(forms, 1e-4)) == fill
+    assert factor_nnz(84.0) == fill
+    if n == 32:
+        ops = assemble(forms, 84.0, 0.05).operators
+        assert [a.nnz for a in (ops.skeleton_rhs, ops.scalar, ops.flux)] == [
+            15_360, 15_360 + 16_384, 23_408 + 25_088]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 11, 32])
@@ -339,9 +386,9 @@ def test_solve_residual_with_random_zero_weights(n, seed, dry, tau):
     weights[rng.random(forms.num_cells) < dry] = 0.0
     system = assemble(forms, weights, tau)
     fact = factorize(system)
-    # The factorized size depends on whether a cell is dry, not on which.
-    assert fact.lu.shape[0] == (_num_skeleton(n) if np.any(weights == 0.0)
-                                else forms.num_edges)
+    # The factorized size depends on neither which cells are dry nor
+    # whether any is.
+    assert fact.lu.shape[0] == _num_skeleton(n)
     rhs_s = rng.normal(size=forms.num_cells)
     rhs_f = rng.normal(size=forms.num_edges)
     u, q = solve(fact, rhs_s, rhs_f)

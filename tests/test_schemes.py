@@ -131,6 +131,24 @@ def test_hl_equals_lreg_for_lipschitz_nonlinearity(forms):
     assert rep1.error_history == rep2.error_history
 
 
+def test_flux_formed_once_matches_flux_every_iteration(forms):
+    # Stopping on u alone forms q once, for the final iterate; a flux
+    # reference makes every iteration form it.  Both agree to the bit.
+    tau = 0.4
+    u_star, q_star, u_prev, f_n = _manufactured_linear_step(forms, seed=5)
+    (u1, q1, rep1), (u2, q2, rep2) = (
+        hl_iterate(forms, SchemeConfig(
+            kind="hl", tau=tau, nonlinearity=LIPSCHITZ, L=2.0,
+            stopping=_reference_stop(u_star, q_ref, tol=1e-9)),
+            np.maximum(u_prev, 0.0), u_prev, f_n)
+        for q_ref in (None, q_star))
+    assert rep1.converged and rep1.iterations_used > 1
+    assert rep1.error_history == rep2.error_history
+    assert len(rep2.flux_error_history) == rep2.iterations_used
+    np.testing.assert_array_equal(u1, u2)
+    np.testing.assert_array_equal(q1, q2)
+
+
 def test_exact_initial_guess_stops_immediately(forms):
     tau = 0.4
     u_star, q_star, u_prev, f_n = _manufactured_linear_step(forms, seed=7)
