@@ -24,7 +24,7 @@ functional.
 
 ``AssembledForms`` is immutable after assembly and safe to share between
 threads; assembly itself is single-threaded.  Its ``hybrid`` operators
-are built on first use and cached.
+and its ``constant_weight`` layout are built on first use and cached.
 """
 
 from dataclasses import dataclass
@@ -76,6 +76,11 @@ class AssembledForms:
     def hybrid(self) -> "HybridOperators":
         """The mesh-only operators of the hybridized system."""
         return _hybrid_operators(self)
+
+    @cached_property
+    def constant_weight(self) -> "ConstantWeightLayout":
+        """The mesh-only data of a constant weight's system."""
+        return _constant_weight_layout(self)
 
 
 # The squares of a 2x2 macro, lower left, lower right, upper left and
@@ -150,6 +155,45 @@ class HybridOperators:
     skeleton_slots: np.ndarray
     macro_multiplier: np.ndarray
     skeleton_pattern: sps.csc_matrix
+
+
+@dataclass(frozen=True)
+class ConstantWeightLayout:
+    """Mesh-only data of a constant weight's system, which is factorized
+    as a band and solved through precomputed operators.
+
+    ``band_order`` lists the skeleton numbers by edge midpoint, y then x,
+    which keeps a macro's eight skeleton edges within ``bandwidth``
+    (about 2n) of each other.  Entry ``band_entries[j]`` of the skeleton
+    pattern lies in its upper triangle in that order, and goes to the
+    flat index ``band_slot[j]`` of LAPACK's upper band storage, a
+    Fortran-ordered (bandwidth + 1, num_skeleton) array.
+    ``skeleton_rhs``, ``scalar_rows`` and ``flux_rows`` are the layouts
+    of the solve operators (``_macro_rows``): a skeleton edge's
+    right-hand side takes the 16 cells of its two macros, a cell's u and
+    an edge's q the 8 cells, then the 8 skeleton edges, of its macro,
+    off phantom cells and missing skeleton edges.
+    """
+
+    band_order: np.ndarray
+    bandwidth: int
+    band_entries: np.ndarray
+    band_slot: np.ndarray
+    skeleton_rhs: sps.csr_matrix
+    scalar_rows: sps.csr_matrix
+    flux_rows: sps.csr_matrix
+
+
+def _macro_rows(columns: np.ndarray, num_cols: int) -> sps.csr_matrix:
+    """The layout of a matrix whose row r has one candidate entry at each
+    column ``columns[r]``: the candidates in range, each holding its flat
+    index into ``columns``."""
+    kept = np.flatnonzero(columns < num_cols).astype(np.int32)
+    indptr = np.searchsorted(kept, np.arange(0, columns.size + 1,
+                                             columns.shape[1]))
+    return sps.csr_matrix((kept, columns.ravel()[kept].astype(np.int32),
+                           indptr.astype(np.int32)),
+                          shape=(columns.shape[0], num_cols))
 
 
 def _hybrid_operators(forms: AssembledForms) -> HybridOperators:
@@ -241,6 +285,42 @@ def _hybrid_operators(forms: AssembledForms) -> HybridOperators:
     for a in arrays + (pattern.data, pattern.indices, pattern.indptr):
         a.flags.writeable = False
     return HybridOperators(*arrays, pattern)
+
+
+def _constant_weight_layout(forms: AssembledForms) -> ConstantWeightLayout:
+    hybrid = forms.hybrid
+    pattern = hybrid.skeleton_pattern
+    nc, nsk = forms.num_cells, pattern.shape[0]
+    nm = hybrid.macro_multiplier.shape[1]
+    keys = np.rint(2 * forms.mesh.n * forms.mesh.edge_midpoints[
+        hybrid.skeleton_edges]).astype(np.int64)
+    band_order = np.lexsort((keys[:, 0], keys[:, 1]))
+    band_position = np.empty(nsk, dtype=np.intp)
+    band_position[band_order] = np.arange(nsk)
+    row = band_position[pattern.indices]
+    col = band_position[np.repeat(np.arange(nsk), np.diff(pattern.indptr))]
+    bandwidth = int(np.max(col - row, initial=0))
+    band_entries = np.flatnonzero(row <= col)
+    row, col = row[band_entries], col[band_entries]
+    band_slot = col * (bandwidth + 1) + bandwidth + row - col
+
+    # The operators' columns are the cells, then the skeleton edges; a
+    # phantom cell or a missing skeleton edge gets nc + nsk, out of range.
+    cell_of = hybrid.cells.reshape(8, -1).T
+    columns = np.hstack([np.where(cell_of < nc, cell_of, nc + nsk),
+                         nc + hybrid.macro_multiplier.T])
+    layouts = (
+        _macro_rows(cell_of[hybrid.skeleton_slots.T % nm].reshape(nsk, 16),
+                    nc),
+        _macro_rows(columns[hybrid.positions % nm], nc + nsk),
+        _macro_rows(columns[hybrid.owner_slot % nm], nc + nsk),
+    )
+    for a in ((band_order, band_entries, band_slot)
+              + tuple(a for m in layouts
+                      for a in (m.data, m.indices, m.indptr))):
+        a.flags.writeable = False
+    return ConstantWeightLayout(band_order, bandwidth, band_entries,
+                                band_slot, *layouts)
 
 
 _DISSECTION_LEAF = 16

@@ -29,10 +29,20 @@ at once: first the square diagonals, which share no cell (one pivot per
 square), then each macro's inner cross (four pivots).  The multipliers
 left are the skeleton, the interior edges on the macros' boundaries;
 their Schur complement is assembled from the macros' 8x8 blocks, with a
-pattern fixed per mesh, and factorized by a sparse LU with diagonal
-pivoting in the nested-dissection order (George 1973) the skeleton is
-numbered in.  Macros cut by the domain's top or right side (odd n) are
-completed by phantom cells whose multipliers decouple.
+pattern fixed per mesh.  Macros cut by the domain's top or right side
+(odd n) are completed by phantom cells whose multipliers decouple.
+
+The skeleton matrix is factorized in one of two ways.  Newton's weights
+change every iteration, so its matrix is factorized by a sparse LU with
+diagonal pivoting in the nested-dissection order (George 1973) the
+skeleton is numbered in, whose cost grows as n^3.  A constant weight
+keeps one matrix for a whole run, thousands of solves, so what counts
+is the solve.  Its matrix is factorized by LAPACK's band Cholesky
+(``pbtrf``) with the skeleton renumbered by edge midpoint, y then x,
+which gives a bandwidth of about 2n; each solve is a pair of band
+triangular solves (``pbtrs``), about 60% of SuperLU's solve time at
+n = 32, although the band factorization grows as n^4.  An empty
+skeleton (n < 3) factorizes and solves as nothing.
 
 A solve takes one of two forms.  Newton's weights change every
 iteration, so its solve runs per call: condense the right-hand side
@@ -57,7 +67,8 @@ rejects one built for another (L, tau).  A ``Factorization`` is
 immutable; solves are pure functions of (factorization, right-hand
 side) and repeated solves are bit-identical.  ``SaddleSystem.matrix``
 builds the full block matrix on demand, the oracle for tests and
-``residual_norm``.  Assembly and factorization are single-threaded.
+``residual_norm``.  Assembly and the sparse LU are single-threaded; the
+band Cholesky runs in LAPACK, which may use the BLAS library's threads.
 """
 
 import copy
@@ -66,6 +77,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
+from scipy.linalg import get_lapack_funcs
 
 from degenmfem.fem import MACRO_SIDES, AssembledForms
 
@@ -141,12 +153,48 @@ class SaddleSystem:
         )
 
 
+_PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+
+
+class BandCholesky:
+    """The upper band Cholesky factor U of a symmetric positive definite
+    matrix A, in LAPACK's band storage: U^T U = A[order][:, order].
+
+    Like SuperLU's factors, it has ``shape``, ``solve`` and the factors
+    ``L`` and ``U``, sparse matrices in band order built on each access.
+    """
+
+    def __init__(self, band: np.ndarray, order: np.ndarray):
+        band.flags.writeable = False
+        self.band = band
+        self.order = order
+
+    @property
+    def shape(self):
+        return (self.order.size, self.order.size)
+
+    @property
+    def U(self) -> sps.csr_matrix:
+        return sps.dia_matrix((self.band[::-1], range(self.band.shape[0])),
+                              shape=self.shape).tocsr()
+
+    @property
+    def L(self) -> sps.csr_matrix:
+        return self.U.T.tocsr()
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x = np.empty_like(rhs)
+        x[self.order] = _PBTRS(self.band, rhs[self.order], overwrite_b=1)[0]
+        return x
+
+
 @dataclass(frozen=True)
 class Factorization:
-    """Sparse LU factors of a system's reduced matrix, which they stay
-    tied to."""
+    """The factors of a system's reduced matrix, which they stay tied
+    to: sparse LU for per-cell weights, ``BandCholesky`` for a constant
+    weight."""
 
-    lu: object = field(repr=False)
+    lu: spla.SuperLU | BandCholesky = field(repr=False)
     system: SaddleSystem = field(repr=False)
 
 
@@ -215,12 +263,25 @@ def assemble(forms: AssembledForms, weights, tau: float) -> SaddleSystem:
 
 
 def factorize(system: SaddleSystem) -> Factorization:
-    """Compute the sparse LU decomposition of the reduced matrix.
+    """Factorize the reduced matrix: a constant weight's by band
+    Cholesky, for its many solves, and per-cell weights', refactorized
+    every iteration, by sparse LU.
 
-    The ordering is symmetric and pivots stay on the diagonal, which the
-    symmetric positive definite skeleton matrix allows; it is already in
-    nested-dissection order, so SuperLU computes no ordering.
+    The sparse LU's ordering is symmetric and pivots stay on the
+    diagonal, which the symmetric positive definite skeleton matrix
+    allows; it is already in nested-dissection order, so SuperLU computes
+    no ordering.
     """
+    if system.operators is not None:
+        layout = system.forms.constant_weight
+        nsk = layout.band_order.size
+        band = np.zeros((layout.bandwidth + 1) * nsk)
+        band[layout.band_slot] = system.reduced.data[layout.band_entries]
+        band, info = _PBTRF(band.reshape(layout.bandwidth + 1, nsk,
+                                         order="F"), overwrite_ab=1)
+        if info != 0:
+            raise SingularSystemError(f"band Cholesky failed at pivot {info}")
+        return Factorization(BandCholesky(band, layout.band_order), system)
     try:
         lu = spla.splu(system.reduced, permc_spec="NATURAL",
                        diag_pivot_thresh=0.0,
@@ -354,7 +415,6 @@ def _solve_operators(system: SaddleSystem) -> SolveOperators:
     skeleton positions."""
     forms = system.forms
     hybrid = forms.hybrid
-    nc, nsk = forms.num_cells, hybrid.skeleton_edges.size
     nm = hybrid.macro_multiplier.shape[1]
     dirichlet = np.zeros(hybrid.signs.shape)
     dirichlet.ravel()[hybrid.owner_slot] = forms.dirichlet_functional
@@ -372,41 +432,29 @@ def _solve_operators(system: SaddleSystem) -> SolveOperators:
         *lead, macro = np.unravel_index(index, a.shape[:-2] + (nm,))
         return a[(*lead, slice(None), macro)]
 
-    # A row's columns are the cells of its macro, then the skeleton
-    # edges, numbered after the cells, of its boundary; a skeleton
-    # edge's right-hand side takes the cells of the two macros it bounds.
-    cell_of = hybrid.cells.reshape(8, -1).T
-    columns = np.hstack([np.where(cell_of < nc, cell_of, nc + nsk),
-                         nc + hybrid.macro_multiplier.T])
-    pos, slot, pair = hybrid.positions, hybrid.owner_slot, \
-        hybrid.skeleton_slots.T
+    layout = forms.constant_weight
+    pair = hybrid.skeleton_slots.T
     rhs_const = const[-1][4:].ravel()
     operators = (
-        _macro_csr(rows(local[-1][4:], pair).reshape(nsk, 16),
-                   cell_of[pair % nm].reshape(nsk, 16), nc),
+        _macro_csr(rows(local[-1][4:], pair), layout.skeleton_rhs),
         rhs_const[pair[:, 0]] + rhs_const[pair[:, 1]],
-        _macro_csr(rows(np.concatenate([u_local, u_skeleton], axis=-2), pos),
-                   columns[pos % nm], nc + nsk),
-        u_const.ravel()[pos],
-        _macro_csr(rows(np.concatenate([q_local, q_skeleton], axis=-2), slot),
-                   columns[slot % nm], nc + nsk),
-        q_const.ravel()[slot],
+        _macro_csr(rows(np.concatenate([u_local, u_skeleton], axis=-2),
+                        hybrid.positions), layout.scalar_rows),
+        u_const.ravel()[hybrid.positions],
+        _macro_csr(rows(np.concatenate([q_local, q_skeleton], axis=-2),
+                        hybrid.owner_slot), layout.flux_rows),
+        q_const.ravel()[hybrid.owner_slot],
     )
     for a in operators[1::2]:
         a.flags.writeable = False
     return SolveOperators(*operators)
 
 
-def _macro_csr(data, cols, num_cols):
-    """A CSR matrix with each row's ``data`` at its ``cols``, (num_rows,
-    k) each, without the columns out of range (a phantom cell or no
-    skeleton edge)."""
-    kept = np.flatnonzero(cols < num_cols)
-    indptr = np.searchsorted(kept, np.arange(0, cols.size + 1, cols.shape[1]))
-    return sps.csr_matrix((data.ravel()[kept],
-                           cols.ravel()[kept].astype(np.int32),
-                           indptr.astype(np.int32)),
-                          shape=(data.shape[0], num_cols))
+def _macro_csr(candidates, layout):
+    """The matrix of a layout of ``fem._macro_rows`` with the values of
+    its candidates."""
+    return sps.csr_matrix((candidates.ravel()[layout.data], layout.indices,
+                           layout.indptr), shape=layout.shape)
 
 
 def residual_norm(system: SaddleSystem, u, q, rhs_scalar, rhs_flux) -> float:

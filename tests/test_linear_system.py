@@ -11,6 +11,8 @@ from degenmfem import linear_system
 from degenmfem.benchmark import DEFAULT_SOLUTION
 from degenmfem.fem import assemble_forms, project_scalar
 from degenmfem.linear_system import (
+    BandCholesky,
+    SingularSystemError,
     StaleFactorizationError,
     assemble,
     factorize,
@@ -225,30 +227,86 @@ def test_hybrid_matrix_is_symmetric_positive_definite():
     np.linalg.cholesky(matrix.toarray())
 
 
-@pytest.mark.parametrize("n, fill", [(11, 2_768), (32, 41_408)])
-def test_constant_weight_fill_matches_newton(n, fill):
-    # A constant L factorizes the same skeleton pattern as Newton's
-    # weights, so both fill the same.  Its solve operators are local to
-    # the macros: a skeleton edge's right-hand side takes the 16 cells of
-    # its two macros, and a cell's u or an edge's q the 8 cells and at
-    # most 8 skeleton edges of its macro.
+@pytest.mark.parametrize("n, size, bandwidth, fill", [
+    (11, 110, 22, 2_768),
+    (32, 960, 63, 41_408),
+])
+def test_constant_weight_band_and_newton_fill(n, size, bandwidth, fill):
+    # Newton's weights fill the skeleton's sparse LU; a constant L
+    # factorizes the same skeleton as a band, numbered row by row.  Its
+    # solve operators are local to the macros: a skeleton edge's
+    # right-hand side takes the 16 cells of its two macros, and a cell's
+    # u or an edge's q the 8 cells and at most 8 skeleton edges of its
+    # macro.
     forms = assemble_forms(build_structured_unit_square(n))
-
-    def factor_nnz(weights):
-        lu = factorize(assemble(forms, weights, 0.05)).lu
-        return lu.L.nnz + lu.U.nnz
-
-    assert factor_nnz(_newton_weights(forms, 1e-4)) == fill
-    assert factor_nnz(84.0) == fill
+    lu = factorize(assemble(forms, _newton_weights(forms, 1e-4), 0.05)).lu
+    assert lu.L.nnz + lu.U.nnz == fill
+    system = assemble(forms, 84.0, 0.05)
+    band = factorize(system).lu
+    assert isinstance(band, BandCholesky)
+    assert band.shape == (size, size)
+    assert forms.constant_weight.bandwidth == bandwidth
+    assert band.band.shape == (bandwidth + 1, size)
     if n == 32:
-        ops = assemble(forms, 84.0, 0.05).operators
+        ops = system.operators
         assert [a.nnz for a in (ops.skeleton_rhs, ops.scalar, ops.flux)] == [
             15_360, 15_360 + 16_384, 23_408 + 25_088]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 11, 32])
+def test_band_solve_matches_dense_oracle(n):
+    # A constant weight's band factor against dense elimination on the
+    # full block matrix, through the precomputed operators (u alone, u
+    # and q, ``flux``) and per call (any other rhs_flux).  n = 1 and 2
+    # have no skeleton, odd n has phantom cells.
+    forms = assemble_forms(build_structured_unit_square(n), -0.5)
+    rng = np.random.default_rng(60 + n)
+    system = assemble(forms, 84.0, 0.05)
+    fact = factorize(system)
+    band = fact.lu
+    assert isinstance(band, BandCholesky)
+    assert band.shape[0] == _num_skeleton(n)
+    # U^T U is the skeleton matrix in band order.
+    order = forms.constant_weight.band_order
+    np.testing.assert_allclose(
+        (band.L @ band.U).toarray(),
+        system.reduced[order][:, order].toarray(), rtol=0, atol=1e-12)
+    rhs_s = rng.normal(size=forms.num_cells)
+    rhs_f = rng.normal(size=forms.num_edges)
+    dirichlet = forms.dirichlet_functional
+    nc = forms.num_cells
+    dense = np.linalg.solve(system.matrix.toarray(), np.column_stack([
+        np.concatenate([rhs_s, dirichlet]), np.concatenate([rhs_s, rhs_f])]))
+    u_only, no_flux = solve(fact, rhs_s)
+    assert no_flux is None
+    u, q = solve(fact, rhs_s, dirichlet)
+    np.testing.assert_array_equal(u_only, u)
+    np.testing.assert_array_equal(flux(fact, rhs_s), q)
+    np.testing.assert_allclose(u, dense[:nc, 0], atol=1e-9)
+    np.testing.assert_allclose(q, dense[nc:, 0], atol=1e-9)
+    u_f, q_f = solve(fact, rhs_s, rhs_f)
+    np.testing.assert_allclose(u_f, dense[:nc, 1], atol=1e-9)
+    np.testing.assert_allclose(q_f, dense[nc:, 1], atol=1e-9)
+    for args, expected in (((rhs_s, dirichlet), (u, q)),
+                           ((rhs_s, rhs_f), (u_f, q_f))):
+        again = solve(fact, *args)
+        np.testing.assert_array_equal(again[0], expected[0])
+        np.testing.assert_array_equal(again[1], expected[1])
+
+
+def test_band_cholesky_rejects_indefinite_matrix():
+    # The band Cholesky of a matrix that is not positive definite fails
+    # as SuperLU's singular factorization does.
+    forms = assemble_forms(build_structured_unit_square(5))
+    system = assemble(forms, 84.0, 0.05)
+    negated = replace(system, reduced=-system.reduced)
+    with pytest.raises(SingularSystemError):
+        factorize(negated)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 11, 32])
 def test_interior_edges_are_a_permutation(n):
-    # The multipliers left to SuperLU list each interior edge on a macro
+    # The multipliers left to factorize list each interior edge on a macro
     # boundary once: the edges whose midpoint lies on an even grid line.
     # Every other interior edge is a diagonal or inside a macro.
     mesh = build_structured_unit_square(n)
