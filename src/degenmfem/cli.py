@@ -24,6 +24,12 @@ import os
 import sys
 from pathlib import Path
 
+# Set before numpy loads its BLAS, unless the caller chose: the band
+# factorizations are too small to gain from threads, and one thread keeps
+# reruns byte-identical.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from degenmfem import benchmark
 from degenmfem.benchmark import (
     DEFAULT_SOLUTION,

@@ -124,10 +124,14 @@ class HybridOperators:
     phantoms.
 
     The skeleton is the interior edges on the macros' boundaries;
-    ``skeleton_edges`` lists them in nested-dissection order
-    (``_dissection_order``), with the fixed pattern of their condensed
-    matrix, ``skeleton_pattern`` (zero entries, its canonical format
-    checked once).  ``macro_multiplier[b, M]``
+    ``skeleton_edges`` lists them by edge midpoint, y then x, which keeps
+    a macro's eight skeleton edges within ``bandwidth`` (about 2n) of
+    each other, with the fixed pattern of their condensed matrix,
+    ``skeleton_pattern`` (zero entries, its canonical format checked
+    once).  Entry ``band_entries[j]`` of the pattern lies in its upper
+    triangle and goes to the flat index ``band_slot[j]`` of LAPACK's
+    upper band storage, a Fortran-ordered (bandwidth + 1, num_skeleton)
+    array.  ``macro_multiplier[b, M]``
     is the skeleton number of position 4 + b of macro M, or the number
     of skeleton edges if it has none, and ``skeleton_slots[:, i]`` the
     two flat (8, num_macros) indices of skeleton edge i.  Each pair of
@@ -155,30 +159,20 @@ class HybridOperators:
     skeleton_slots: np.ndarray
     macro_multiplier: np.ndarray
     skeleton_pattern: sps.csc_matrix
+    bandwidth: int
+    band_entries: np.ndarray
+    band_slot: np.ndarray
 
 
 @dataclass(frozen=True)
 class ConstantWeightLayout:
-    """Mesh-only data of a constant weight's system, which is factorized
-    as a band and solved through precomputed operators.
-
-    ``band_order`` lists the skeleton numbers by edge midpoint, y then x,
-    which keeps a macro's eight skeleton edges within ``bandwidth``
-    (about 2n) of each other.  Entry ``band_entries[j]`` of the skeleton
-    pattern lies in its upper triangle in that order, and goes to the
-    flat index ``band_slot[j]`` of LAPACK's upper band storage, a
-    Fortran-ordered (bandwidth + 1, num_skeleton) array.
-    ``skeleton_rhs``, ``scalar_rows`` and ``flux_rows`` are the layouts
-    of the solve operators (``_macro_rows``): a skeleton edge's
-    right-hand side takes the 16 cells of its two macros, a cell's u and
-    an edge's q the 8 cells, then the 8 skeleton edges, of its macro,
-    off phantom cells and missing skeleton edges.
+    """Mesh-only layouts of a constant weight's solve operators
+    (``_macro_rows``): a skeleton edge's right-hand side takes the 16
+    cells of its two macros, a cell's u and an edge's q the 8 cells,
+    then the 8 skeleton edges, of its macro, off phantom cells and
+    missing skeleton edges.
     """
 
-    band_order: np.ndarray
-    bandwidth: int
-    band_entries: np.ndarray
-    band_slot: np.ndarray
     skeleton_rhs: sps.csr_matrix
     scalar_rows: sps.csr_matrix
     flux_rows: sps.csr_matrix
@@ -245,8 +239,8 @@ def _hybrid_operators(forms: AssembledForms) -> HybridOperators:
         position_edge[pos] = np.maximum(position_edge[pos], side_edges[:, q])
     boundary = position_edge[4:]
     skeleton = np.unique(boundary[interior[boundary]])
-    midpoint_keys = np.rint(2 * n * mesh.edge_midpoints).astype(np.int64)
-    skeleton = _dissection_order(midpoint_keys, skeleton)
+    midpoint = np.rint(2 * n * mesh.edge_midpoints[skeleton]).astype(int)
+    skeleton = skeleton[np.lexsort((midpoint[:, 0], midpoint[:, 1]))]
     nsk = skeleton.size
     number = np.full(ne + 1, nsk)
     number[skeleton] = np.arange(nsk)
@@ -266,12 +260,16 @@ def _hybrid_operators(forms: AssembledForms) -> HybridOperators:
     pair_slot = (upper[:, :, None] * nm + np.arange(nm)).ravel()[keep]
     keys, pair_pos = np.unique(rows[keep] * nsk + cols[keep],
                                return_inverse=True)
-    indptr = np.concatenate(
-        [[0], np.cumsum(np.bincount(keys // nsk, minlength=nsk))])
-    pattern = sps.csc_matrix((np.zeros(keys.size), (keys % nsk).astype(
-        np.int32), indptr.astype(np.int32)), shape=(nsk, nsk))
+    row, col = keys % nsk, keys // nsk
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=nsk))])
+    pattern = sps.csc_matrix((np.zeros(keys.size), row.astype(np.int32),
+                              indptr.astype(np.int32)), shape=(nsk, nsk))
     # Records that the pattern is canonical, so its copies skip the check.
     pattern.sum_duplicates()
+    # LAPACK's upper band storage holds the pattern's upper triangle.
+    bandwidth = int(np.max(col - row, initial=0))
+    band_entries = np.flatnonzero(row <= col)
+    band_slot = (col * (bandwidth + 1) + bandwidth + row - col)[band_entries]
 
     # The slot of local edge k of position p is k P + p.
     _, first = np.unique(cell_edges.ravel(), return_index=True)
@@ -282,28 +280,17 @@ def _hybrid_operators(forms: AssembledForms) -> HybridOperators:
               by_position(ssm, np.eye(3)), by_position(vv), skeleton,
               pair_pos, pair_slot, owner_slot, skeleton_slots.copy(),
               macro_multiplier)
-    for a in arrays + (pattern.data, pattern.indices, pattern.indptr):
+    for a in arrays + (pattern.data, pattern.indices, pattern.indptr,
+                       band_entries, band_slot):
         a.flags.writeable = False
-    return HybridOperators(*arrays, pattern)
+    return HybridOperators(*arrays, pattern, bandwidth, band_entries,
+                           band_slot)
 
 
 def _constant_weight_layout(forms: AssembledForms) -> ConstantWeightLayout:
     hybrid = forms.hybrid
-    pattern = hybrid.skeleton_pattern
-    nc, nsk = forms.num_cells, pattern.shape[0]
+    nc, nsk = forms.num_cells, hybrid.skeleton_edges.size
     nm = hybrid.macro_multiplier.shape[1]
-    keys = np.rint(2 * forms.mesh.n * forms.mesh.edge_midpoints[
-        hybrid.skeleton_edges]).astype(np.int64)
-    band_order = np.lexsort((keys[:, 0], keys[:, 1]))
-    band_position = np.empty(nsk, dtype=np.intp)
-    band_position[band_order] = np.arange(nsk)
-    row = band_position[pattern.indices]
-    col = band_position[np.repeat(np.arange(nsk), np.diff(pattern.indptr))]
-    bandwidth = int(np.max(col - row, initial=0))
-    band_entries = np.flatnonzero(row <= col)
-    row, col = row[band_entries], col[band_entries]
-    band_slot = col * (bandwidth + 1) + bandwidth + row - col
-
     # The operators' columns are the cells, then the skeleton edges; a
     # phantom cell or a missing skeleton edge gets nc + nsk, out of range.
     cell_of = hybrid.cells.reshape(8, -1).T
@@ -315,42 +302,10 @@ def _constant_weight_layout(forms: AssembledForms) -> ConstantWeightLayout:
         _macro_rows(columns[hybrid.positions % nm], nc + nsk),
         _macro_rows(columns[hybrid.owner_slot % nm], nc + nsk),
     )
-    for a in ((band_order, band_entries, band_slot)
-              + tuple(a for m in layouts
-                      for a in (m.data, m.indices, m.indptr))):
-        a.flags.writeable = False
-    return ConstantWeightLayout(band_order, bandwidth, band_entries,
-                                band_slot, *layouts)
-
-
-_DISSECTION_LEAF = 16
-
-
-def _dissection_order(keys: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The edges ``idx`` in nested-dissection order, given the integer
-    keys of all edges' midpoints, twice their coordinates in units of h.
-
-    A box of more than ``_DISSECTION_LEAF`` edges is split across its
-    longer extent at the grid line (even key) nearest the median: the
-    edges below it come first, then those above, then those on it.  Each
-    cell lies on one side of a grid line, so the edges on it separate the
-    two sides in the multiplier graph (edges that share a cell).
-    """
-    if idx.size <= _DISSECTION_LEAF:
-        return idx
-    box = keys[idx]
-    lo, hi = box.min(axis=0), box.max(axis=0)
-    axis = int(np.argmax(hi - lo))
-    # The even keys strictly inside the box along that axis.
-    first = lo[axis] + 2 - lo[axis] % 2
-    last = hi[axis] - 2 + hi[axis] % 2
-    if first > last:
-        return idx
-    coord = box[:, axis]
-    line = min(max(2 * round(np.median(coord) / 2), first), last)
-    return np.concatenate([_dissection_order(keys, idx[coord < line]),
-                           _dissection_order(keys, idx[coord > line]),
-                           idx[coord == line]])
+    for m in layouts:
+        for a in (m.data, m.indices, m.indptr):
+            a.flags.writeable = False
+    return ConstantWeightLayout(*layouts)
 
 
 def assemble_forms(mesh: Mesh, g_dirichlet=0.0) -> AssembledForms:

@@ -32,17 +32,11 @@ their Schur complement is assembled from the macros' 8x8 blocks, with a
 pattern fixed per mesh.  Macros cut by the domain's top or right side
 (odd n) are completed by phantom cells whose multipliers decouple.
 
-The skeleton matrix is factorized in one of two ways.  Newton's weights
-change every iteration, so its matrix is factorized by a sparse LU with
-diagonal pivoting in the nested-dissection order (George 1973) the
-skeleton is numbered in, whose cost grows as n^3.  A constant weight
-keeps one matrix for a whole run, thousands of solves, so what counts
-is the solve.  Its matrix is factorized by LAPACK's band Cholesky
-(``pbtrf``) with the skeleton renumbered by edge midpoint, y then x,
-which gives a bandwidth of about 2n; each solve is a pair of band
-triangular solves (``pbtrs``), about 60% of SuperLU's solve time at
-n = 32, although the band factorization grows as n^4.  An empty
-skeleton (n < 3) factorizes and solves as nothing.
+The skeleton is numbered by edge midpoint, y then x, which gives a
+bandwidth of about 2n, and its matrix is factorized by LAPACK's band
+Cholesky (``pbtrf``) whatever the weight; each solve is a pair of band
+triangular solves (``pbtrs``).  An empty skeleton (n < 3) factorizes
+and solves as nothing.
 
 A solve takes one of two forms.  Newton's weights change every
 iteration, so its solve runs per call: condense the right-hand side
@@ -67,8 +61,7 @@ rejects one built for another (L, tau).  A ``Factorization`` is
 immutable; solves are pure functions of (factorization, right-hand
 side) and repeated solves are bit-identical.  ``SaddleSystem.matrix``
 builds the full block matrix on demand, the oracle for tests and
-``residual_norm``.  Assembly and the sparse LU are single-threaded; the
-band Cholesky runs in LAPACK, which may use the BLAS library's threads.
+``residual_norm``.
 """
 
 import copy
@@ -76,7 +69,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
 
 from degenmfem.fem import MACRO_SIDES, AssembledForms
@@ -158,20 +150,21 @@ _PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 class BandCholesky:
     """The upper band Cholesky factor U of a symmetric positive definite
-    matrix A, in LAPACK's band storage: U^T U = A[order][:, order].
+    matrix A, in LAPACK's band storage: U^T U = A.
 
-    Like SuperLU's factors, it has ``shape``, ``solve`` and the factors
-    ``L`` and ``U``, sparse matrices in band order built on each access.
+    It has ``shape``, ``solve`` and the factors ``L`` and ``U``, sparse
+    matrices built on each access, as SuperLU's factors do: the
+    benchmark's tracer reads ``lu.L.nnz + lu.U.nnz`` for the factor's
+    size.
     """
 
-    def __init__(self, band: np.ndarray, order: np.ndarray):
+    def __init__(self, band: np.ndarray):
         band.flags.writeable = False
         self.band = band
-        self.order = order
 
     @property
     def shape(self):
-        return (self.order.size, self.order.size)
+        return (self.band.shape[1], self.band.shape[1])
 
     @property
     def U(self) -> sps.csr_matrix:
@@ -183,18 +176,15 @@ class BandCholesky:
         return self.U.T.tocsr()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x = np.empty_like(rhs)
-        x[self.order] = _PBTRS(self.band, rhs[self.order], overwrite_b=1)[0]
-        return x
+        return _PBTRS(self.band, rhs)[0]
 
 
 @dataclass(frozen=True)
 class Factorization:
     """The factors of a system's reduced matrix, which they stay tied
-    to: sparse LU for per-cell weights, ``BandCholesky`` for a constant
-    weight."""
+    to.  ``lu`` is the name the benchmark's tracer reads."""
 
-    lu: spla.SuperLU | BandCholesky = field(repr=False)
+    lu: BandCholesky = field(repr=False)
     system: SaddleSystem = field(repr=False)
 
 
@@ -263,32 +253,16 @@ def assemble(forms: AssembledForms, weights, tau: float) -> SaddleSystem:
 
 
 def factorize(system: SaddleSystem) -> Factorization:
-    """Factorize the reduced matrix: a constant weight's by band
-    Cholesky, for its many solves, and per-cell weights', refactorized
-    every iteration, by sparse LU.
-
-    The sparse LU's ordering is symmetric and pivots stay on the
-    diagonal, which the symmetric positive definite skeleton matrix
-    allows; it is already in nested-dissection order, so SuperLU computes
-    no ordering.
-    """
-    if system.operators is not None:
-        layout = system.forms.constant_weight
-        nsk = layout.band_order.size
-        band = np.zeros((layout.bandwidth + 1) * nsk)
-        band[layout.band_slot] = system.reduced.data[layout.band_entries]
-        band, info = _PBTRF(band.reshape(layout.bandwidth + 1, nsk,
-                                         order="F"), overwrite_ab=1)
-        if info != 0:
-            raise SingularSystemError(f"band Cholesky failed at pivot {info}")
-        return Factorization(BandCholesky(band, layout.band_order), system)
-    try:
-        lu = spla.splu(system.reduced, permc_spec="NATURAL",
-                       diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise SingularSystemError(str(exc)) from exc
-    return Factorization(lu, system)
+    """Factorize the reduced matrix by band Cholesky."""
+    hybrid = system.forms.hybrid
+    nsk = hybrid.skeleton_edges.size
+    band = np.zeros((hybrid.bandwidth + 1) * nsk)
+    band[hybrid.band_slot] = system.reduced.data[hybrid.band_entries]
+    band, info = _PBTRF(band.reshape(hybrid.bandwidth + 1, nsk, order="F"),
+                        overwrite_ab=1)
+    if info != 0:
+        raise SingularSystemError(f"band Cholesky failed at pivot {info}")
+    return Factorization(BandCholesky(band), system)
 
 
 def solve(fact: Factorization, rhs_scalar, rhs_flux=None):

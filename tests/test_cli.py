@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import degenmfem
 from degenmfem.cli import main
 
 
@@ -229,3 +235,18 @@ def test_solve_outputs_pinned(tmp_path, capsys, flags, code, row, report):
     if report is not None:
         assert (tmp_path / "solve_report.txt").read_bytes() == report.encode()
         assert capsys.readouterr().out == report
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_blas_threads_pinned_unless_set(preset, expected):
+    # Importing the CLI sets one BLAS thread unless the caller set a count.
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    if preset is not None:
+        env.update(dict.fromkeys(names, preset))
+    env["PYTHONPATH"] = str(Path(degenmfem.__file__).parents[1])
+    code = ("import os, degenmfem.cli; "
+            f"print(*(os.environ[name] for name in {names!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == [expected] * 3

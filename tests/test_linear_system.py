@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +10,6 @@ from degenmfem import linear_system
 from degenmfem.benchmark import DEFAULT_SOLUTION
 from degenmfem.fem import assemble_forms, project_scalar
 from degenmfem.linear_system import (
-    BandCholesky,
     SingularSystemError,
     StaleFactorizationError,
     assemble,
@@ -227,61 +225,64 @@ def test_hybrid_matrix_is_symmetric_positive_definite():
     np.linalg.cholesky(matrix.toarray())
 
 
-@pytest.mark.parametrize("n, size, bandwidth, fill", [
-    (11, 110, 22, 2_768),
-    (32, 960, 63, 41_408),
+@pytest.mark.parametrize("n, size, bandwidth", [
+    (11, 110, 22),
+    (32, 960, 63),
+    (64, 3_968, 127),
 ])
-def test_constant_weight_band_and_newton_fill(n, size, bandwidth, fill):
-    # Newton's weights fill the skeleton's sparse LU; a constant L
-    # factorizes the same skeleton as a band, numbered row by row.  Its
+def test_skeleton_band_for_every_weight(n, size, bandwidth):
+    # The skeleton, numbered row by row, is factorized as one band,
+    # whether the weight is Newton's or a constant L.  A constant L's
     # solve operators are local to the macros: a skeleton edge's
     # right-hand side takes the 16 cells of its two macros, and a cell's
     # u or an edge's q the 8 cells and at most 8 skeleton edges of its
     # macro.
     forms = assemble_forms(build_structured_unit_square(n))
-    lu = factorize(assemble(forms, _newton_weights(forms, 1e-4), 0.05)).lu
-    assert lu.L.nnz + lu.U.nnz == fill
-    system = assemble(forms, 84.0, 0.05)
-    band = factorize(system).lu
-    assert isinstance(band, BandCholesky)
-    assert band.shape == (size, size)
-    assert forms.constant_weight.bandwidth == bandwidth
-    assert band.band.shape == (bandwidth + 1, size)
+    assert forms.hybrid.bandwidth == bandwidth
+    newton = assemble(forms, _newton_weights(forms, 1e-4), 0.05)
+    constant = assemble(forms, 84.0, 0.05)
+    for system in (newton, constant):
+        lu = factorize(system).lu
+        assert lu.shape == (size, size)
+        assert lu.band.shape == (bandwidth + 1, size)
     if n == 32:
-        ops = system.operators
+        ops = constant.operators
         assert [a.nnz for a in (ops.skeleton_rhs, ops.scalar, ops.flux)] == [
             15_360, 15_360 + 16_384, 23_408 + 25_088]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 11, 32])
-def test_band_solve_matches_dense_oracle(n):
-    # A constant weight's band factor against dense elimination on the
-    # full block matrix, through the precomputed operators (u alone, u
-    # and q, ``flux``) and per call (any other rhs_flux).  n = 1 and 2
+@pytest.mark.parametrize("n, newton", [
+    *(pytest.param(n, False, id=str(n)) for n in (1, 2, 3, 5, 8, 11, 32)),
+    *(pytest.param(n, True, id=f"newton-{n}") for n in (11, 32)),
+])
+def test_band_solve_matches_dense_oracle(n, newton):
+    # The band factor against dense elimination on the full block matrix.
+    # A constant weight solves through the precomputed operators (u
+    # alone, u and q, ``flux``) and per call (any other rhs_flux);
+    # Newton's weights, exact zeros included, per call.  n = 1 and 2
     # have no skeleton, odd n has phantom cells.
     forms = assemble_forms(build_structured_unit_square(n), -0.5)
     rng = np.random.default_rng(60 + n)
-    system = assemble(forms, 84.0, 0.05)
+    system = assemble(forms, _newton_weights(forms, 1e-4) if newton
+                      else 84.0, 0.05)
     fact = factorize(system)
     band = fact.lu
-    assert isinstance(band, BandCholesky)
     assert band.shape[0] == _num_skeleton(n)
-    # U^T U is the skeleton matrix in band order.
-    order = forms.constant_weight.band_order
-    np.testing.assert_allclose(
-        (band.L @ band.U).toarray(),
-        system.reduced[order][:, order].toarray(), rtol=0, atol=1e-12)
+    # U^T U is the skeleton matrix, in the skeleton's own numbering.
+    np.testing.assert_allclose((band.L @ band.U).toarray(),
+                               system.reduced.toarray(), rtol=0, atol=1e-12)
     rhs_s = rng.normal(size=forms.num_cells)
     rhs_f = rng.normal(size=forms.num_edges)
     dirichlet = forms.dirichlet_functional
     nc = forms.num_cells
     dense = np.linalg.solve(system.matrix.toarray(), np.column_stack([
         np.concatenate([rhs_s, dirichlet]), np.concatenate([rhs_s, rhs_f])]))
-    u_only, no_flux = solve(fact, rhs_s)
-    assert no_flux is None
     u, q = solve(fact, rhs_s, dirichlet)
-    np.testing.assert_array_equal(u_only, u)
-    np.testing.assert_array_equal(flux(fact, rhs_s), q)
+    if not newton:
+        u_only, no_flux = solve(fact, rhs_s)
+        assert no_flux is None
+        np.testing.assert_array_equal(u_only, u)
+        np.testing.assert_array_equal(flux(fact, rhs_s), q)
     np.testing.assert_allclose(u, dense[:nc, 0], atol=1e-9)
     np.testing.assert_allclose(q, dense[nc:, 0], atol=1e-9)
     u_f, q_f = solve(fact, rhs_s, rhs_f)
@@ -296,19 +297,21 @@ def test_band_solve_matches_dense_oracle(n):
 
 def test_band_cholesky_rejects_indefinite_matrix():
     # The band Cholesky of a matrix that is not positive definite fails
-    # as SuperLU's singular factorization does.
+    # with a singular system, for a constant and for per-cell weights.
     forms = assemble_forms(build_structured_unit_square(5))
-    system = assemble(forms, 84.0, 0.05)
-    negated = replace(system, reduced=-system.reduced)
-    with pytest.raises(SingularSystemError):
-        factorize(negated)
+    for weights in (84.0, _newton_weights(forms, 1e-4)):
+        system = assemble(forms, weights, 0.05)
+        negated = replace(system, reduced=-system.reduced)
+        with pytest.raises(SingularSystemError):
+            factorize(negated)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 11, 32])
 def test_interior_edges_are_a_permutation(n):
     # The multipliers left to factorize list each interior edge on a macro
     # boundary once: the edges whose midpoint lies on an even grid line.
-    # Every other interior edge is a diagonal or inside a macro.
+    # Every other interior edge is a diagonal or inside a macro.  They
+    # are numbered by midpoint, y then x, for the band.
     mesh = build_structured_unit_square(n)
     skeleton = assemble_forms(mesh).hybrid.skeleton_edges
     interior = np.setdiff1d(np.arange(mesh.num_edges), mesh.boundary_edges)
@@ -316,27 +319,9 @@ def test_interior_edges_are_a_permutation(n):
     np.testing.assert_array_equal(
         np.sort(skeleton), interior[(keys % 4 == 0).any(axis=1)])
     assert skeleton.size == _num_skeleton(n)
-
-
-@pytest.mark.parametrize("n, size, dissection, minimum_degree", [
-    (32, 960, 41_408, 46_160),
-    (64, 3_968, 226_176, 271_392),
-])
-def test_dissection_fills_less_than_minimum_degree(n, size, dissection,
-                                                    minimum_degree):
-    # Newton's condensed matrix factorized in dissection order, against
-    # SuperLU's minimum degree ordering of the same matrix with the
-    # skeleton edges in index order.
-    forms = assemble_forms(build_structured_unit_square(n))
-    system = assemble(forms, _newton_weights(forms, 1e-4), 0.05)
-    lu = factorize(system).lu
-    by_index = np.argsort(forms.hybrid.skeleton_edges)
-    mmd = spla.splu(system.reduced[by_index][:, by_index].tocsc(),
-                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options=dict(SymmetricMode=True))
-    assert lu.shape == (size, size)
-    assert lu.L.nnz + lu.U.nnz == dissection
-    assert mmd.L.nnz + mmd.U.nnz == minimum_degree
+    keys = np.rint(2 * n * mesh.edge_midpoints[skeleton]).astype(int)
+    np.testing.assert_array_equal(np.lexsort(keys.T),
+                                  np.arange(skeleton.size))
 
 
 def _uncondensed_hybrid(forms, weights, tau):
