@@ -38,23 +38,26 @@ Cholesky (``pbtrf``) whatever the weight; each solve is a pair of band
 triangular solves (``pbtrs``).  An empty skeleton (n < 3) factorizes
 and solves as nothing.
 
+The mesh-only operators of the reduction (``HybridOperators``, with the
+macro numbering ``MACRO_SIDES``) are built once per mesh and cached by
+the forms' ``hybrid``.
+
 A solve takes one of two forms.  Newton's weights change every
 iteration, so its solve runs per call: condense the right-hand side
 macro by macro, solve on the skeleton, recover the crosses, the
 diagonals and the cells.  A constant weight (the L-type schemes, one
 system for a whole run) gets that solve precomputed at assembly, with
-the forms' Dirichlet functional as rhs_flux, as sparse maps local to the
-macros: R from the cells to the skeleton's right-hand side, S and F
-from the cells and the skeleton to u and q,
-
-    lambda_s = skeleton solve of (R rhs_scalar + r),
-    u = S [rhs_scalar; lambda_s] + c_u,
-    q = F [rhs_scalar; lambda_s] + c_q,
-
-with q formed only when asked for.  They are built by running the
-per-call condensation and recovery on the unit right-hand sides of a
-macro's eight cells and the unit multipliers of its eight skeleton
-positions, for all macros at once.
+the forms' Dirichlet functional as rhs_flux, as sparse maps over
+x = [rhs_scalar; lambda_s; 0; 1]: lambda_s solves the skeleton system
+with right-hand side R x, u = S x and, only when asked for, q = F x.
+Each row has 17 entries, local to a macro: a skeleton edge's R row the
+16 cells of its two macros, a cell's S row and an edge's F row the 8
+cells, then the 8 skeleton multipliers, of its macro; the last is the
+Dirichlet functional's share, on the 1, and a phantom cell or a missing
+multiplier reads the 0.  The values come from the per-call condensation
+and recovery run on unit right-hand sides and multipliers for all
+macros at once, the columns from the macro numbering, so nothing else
+is kept per mesh.
 
 Each factorization keeps the system it was built from, so the step loop
 rejects one built for another (L, tau).  A ``Factorization`` is
@@ -71,7 +74,7 @@ import numpy as np
 import scipy.sparse as sps
 from scipy.linalg import get_lapack_funcs
 
-from degenmfem.fem import MACRO_SIDES, AssembledForms
+from degenmfem.fem import AssembledForms
 
 
 class SingularSystemError(Exception):
@@ -84,17 +87,192 @@ class StaleFactorizationError(Exception):
     tau) than its own; raised by ``schemes.linearized_iterate``."""
 
 
+# The squares of a 2x2 macro, lower left, lower right, upper left and
+# upper right, list the macro positions of their bottom, top, right and
+# left sides.  Positions 0-3 are the inner cross: the horizontals left
+# and right, then the verticals below and above.  Positions 4-7 are the
+# outer sides of the left two squares and 8-11 those of the right two,
+# so a horizontal of the cross couples to 2-7 or to 2, 3 and 8-11.
+MACRO_SIDES = np.array([[4, 0, 2, 5],
+                        [8, 1, 9, 2],
+                        [0, 6, 3, 7],
+                        [1, 11, 10, 3]])
+
+
+@dataclass(frozen=True)
+class HybridOperators:
+    """Mesh-only operators of the hybridized mixed system, laid out for
+    its condensation on 2x2 macro squares.
+
+    The cells are listed macro by macro: position t P/2 + q P/8 + M of
+    the P = 8 num_macros positions is the lower (t = 0) or upper (t = 1)
+    triangle of square q (``MACRO_SIDES`` order) of macro M.  Macros
+    cut by the top or right side of the domain (odd n) are completed by
+    phantom cells; ``cells`` gives the cell of each position, or
+    num_cells for a phantom, and ``positions`` the position of each
+    cell.  A lower triangle lists its bottom, right and diagonal edges,
+    an upper one its top, left and diagonal edges, so local edge k of
+    triangle t is side 2k + t of its square (bottom, top, right, left)
+    for k < 2; a slot is the flat index k P + p of local edge k of
+    position p.
+
+    Per cell T, with signs s_T (as floats) and mass block M_T: ``minv``
+    is M_T^{-1}, symmetrized; ``m`` is M_T^{-1} s_T, ``beta`` (by cell)
+    is s_T . m_T and ``v`` is s_T * m_T.  ``signs``, ``m``, ``v`` and
+    ``inside`` are stored local edge first, (3, P), and ``minv``,
+    ``ssm`` and ``vv`` as (3, 3, P).  ``inside`` is 1 on the slots of
+    interior edges and 0 on the others, a phantom's included; ``ssm``
+    is S_T M_T^{-1} S_T and ``vv`` is v_T v_T^T on the interior slots,
+    while the other slots keep only a unit diagonal in ``ssm``, so their
+    multipliers decouple and solve to zero.  The rest is zero on
+    phantoms.
+
+    The skeleton is the interior edges on the macros' boundaries;
+    ``skeleton_edges`` lists them by edge midpoint, y then x, which keeps
+    a macro's eight skeleton edges within ``bandwidth`` (about 2n) of
+    each other, with the fixed pattern of their condensed matrix,
+    ``skeleton_pattern`` (zero entries, its canonical format checked
+    once).  Entry ``band_entries[j]`` of the pattern lies in its upper
+    triangle and goes to the flat index ``band_slot[j]`` of LAPACK's
+    upper band storage, a Fortran-ordered (bandwidth + 1, num_skeleton)
+    array.  ``macro_multiplier[b, M]``
+    is the skeleton number of position 4 + b of macro M, or the number
+    of skeleton edges if it has none, and ``skeleton_slots[:, i]`` the
+    two flat (8, num_macros) indices of skeleton edge i.  Each pair of
+    skeleton positions of a macro adds the flat entry ``pair_slot[j]``
+    of the upper triangles of the macros' (12, 12, num_macros) blocks to
+    entry ``pair_pos[j]`` of the pattern.  ``owner_slot[E]``
+    is the slot of edge E in its lowest-numbered cell.  ``minv`` is
+    exactly symmetric, so ``minv[l]`` holds the columns l of the blocks.
+    """
+
+    cells: np.ndarray
+    positions: np.ndarray
+    signs: np.ndarray
+    minv: np.ndarray
+    m: np.ndarray
+    beta: np.ndarray
+    v: np.ndarray
+    inside: np.ndarray
+    ssm: np.ndarray
+    vv: np.ndarray
+    skeleton_edges: np.ndarray
+    pair_pos: np.ndarray
+    pair_slot: np.ndarray
+    owner_slot: np.ndarray
+    skeleton_slots: np.ndarray
+    macro_multiplier: np.ndarray
+    skeleton_pattern: sps.csc_matrix
+    bandwidth: int
+    band_entries: np.ndarray
+    band_slot: np.ndarray
+
+
+def hybrid_operators(forms: AssembledForms) -> HybridOperators:
+    mesh = forms.mesh
+    n, nc, ne = mesh.n, forms.num_cells, forms.num_edges
+    # Upper triangles (odd cells) list their edges top, left, diagonal.
+    rotate = np.where(np.arange(nc)[:, None] % 2, [1, 2, 0], [0, 1, 2])
+    cell_edges = np.take_along_axis(mesh.cell_edges, rotate, axis=1)
+    signs = np.take_along_axis(mesh.cell_edge_signs, rotate,
+                               axis=1).astype(float)
+    local_mass = forms.local_mass[np.arange(nc)[:, None, None],
+                                  rotate[:, :, None], rotate[:, None, :]]
+    minv = np.linalg.inv(local_mass)
+    minv = 0.5 * (minv + minv.transpose(0, 2, 1))
+    m = np.einsum("ckl,cl->ck", minv, signs)
+    v = signs * m
+    beta = v.sum(axis=1)
+    interior = np.ones(ne + 1, dtype=bool)
+    interior[mesh.boundary_edges] = False
+    interior[ne] = False   # index -1: no edge
+    inside = interior[cell_edges].astype(float)
+    mask = inside[:, :, None] * inside[:, None, :]
+    ssm = signs[:, :, None] * minv * signs[:, None, :] * mask
+    ssm += np.eye(3) * (1.0 - inside)[:, None, :]
+    vv = v[:, :, None] * v[:, None, :] * mask
+
+    # Macro M = J side + I holds the squares (2I + i, 2J + j) with
+    # q = 2j + i; square (a, b) holds the cells 2(b n + a) + t.
+    side = (n + 1) // 2
+    nm = side * side
+    macro_i, macro_j = np.arange(nm) % side, np.arange(nm) // side
+    sq_i = 2 * macro_i + np.array([0, 1, 0, 1])[:, None]
+    sq_j = 2 * macro_j + np.array([0, 0, 1, 1])[:, None]
+    t = np.arange(2)[:, None, None]
+    cells = np.where((sq_i < n) & (sq_j < n), 2 * (sq_j * n + sq_i) + t,
+                     nc).ravel()
+    real = cells < nc
+    positions = np.empty(nc, dtype=np.intp)
+    positions[cells[real]] = np.flatnonzero(real)
+
+    def by_position(a, fill=0.0):
+        # Cell axis last, phantoms filled.
+        padded = np.concatenate([a, np.full((1,) + a.shape[1:], fill)])
+        return np.moveaxis(padded[cells], 0, -1).copy()
+
+    side_edges = by_position(cell_edges, -1)[:2].reshape(4, 4, nm)
+    position_edge = np.full((12, nm), -1)
+    for q, pos in enumerate(MACRO_SIDES):
+        position_edge[pos] = np.maximum(position_edge[pos], side_edges[:, q])
+    boundary = position_edge[4:]
+    skeleton = np.unique(boundary[interior[boundary]])
+    midpoint = np.rint(2 * n * mesh.edge_midpoints[skeleton]).astype(int)
+    skeleton = skeleton[np.lexsort((midpoint[:, 0], midpoint[:, 1]))]
+    nsk = skeleton.size
+    number = np.full(ne + 1, nsk)
+    number[skeleton] = np.arange(nsk)
+    macro_multiplier = number[boundary]
+    slot_multiplier = macro_multiplier.ravel()
+    slots = np.flatnonzero(slot_multiplier < nsk)
+    skeleton_slots = slots[np.argsort(
+        slot_multiplier[slots], kind="stable")].reshape(nsk, 2).T
+
+    # Every pair of skeleton positions of a macro adds the entry of the
+    # upper triangle of its block to one entry of the pattern.
+    b = np.arange(4, 12)
+    upper = np.minimum.outer(b, b) * 12 + np.maximum.outer(b, b)
+    rows = np.broadcast_to(macro_multiplier[:, None], (8, 8, nm)).ravel()
+    cols = np.broadcast_to(macro_multiplier[None], (8, 8, nm)).ravel()
+    keep = (rows < nsk) & (cols < nsk)
+    pair_slot = (upper[:, :, None] * nm + np.arange(nm)).ravel()[keep]
+    keys, pair_pos = np.unique(rows[keep] * nsk + cols[keep],
+                               return_inverse=True)
+    row, col = keys % nsk, keys // nsk
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=nsk))])
+    pattern = sps.csc_matrix((np.zeros(keys.size), row.astype(np.int32),
+                              indptr.astype(np.int32)), shape=(nsk, nsk))
+    # Records that the pattern is canonical, so its copies skip the check.
+    pattern.sum_duplicates()
+    # LAPACK's upper band storage holds the pattern's upper triangle.
+    bandwidth = int(np.max(col - row, initial=0))
+    band_entries = np.flatnonzero(row <= col)
+    band_slot = (col * (bandwidth + 1) + bandwidth + row - col)[band_entries]
+
+    # The slot of local edge k of position p is k P + p.
+    _, first = np.unique(cell_edges.ravel(), return_index=True)
+    owner_slot = first % 3 * cells.size + positions[first // 3]
+
+    arrays = (cells, positions, by_position(signs), by_position(minv),
+              by_position(m), beta, by_position(v), by_position(inside),
+              by_position(ssm, np.eye(3)), by_position(vv), skeleton,
+              pair_pos, pair_slot, owner_slot, skeleton_slots.copy(),
+              macro_multiplier)
+    for a in arrays + (pattern.data, pattern.indices, pattern.indptr,
+                       band_entries, band_slot):
+        a.flags.writeable = False
+    return HybridOperators(*arrays, pattern, bandwidth, band_entries,
+                           band_slot)
+
+
 @dataclass(frozen=True)
 class SolveOperators:
     """A constant-weight solve as sparse maps (R, S, F in the module
-    docstring) and the Dirichlet functional's shares r, c_u, c_q."""
+    docstring) over x = [rhs_scalar; lambda_s; 0; 1], 17 entries a row."""
 
     skeleton_rhs: sps.csr_matrix
-    skeleton_const: np.ndarray
     scalar: sps.csr_matrix
-    scalar_const: np.ndarray
     flux: sps.csr_matrix
-    flux_const: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -153,9 +331,8 @@ class BandCholesky:
     matrix A, in LAPACK's band storage: U^T U = A.
 
     It has ``shape``, ``solve`` and the factors ``L`` and ``U``, sparse
-    matrices built on each access, as SuperLU's factors do: the
-    benchmark's tracer reads ``lu.L.nnz + lu.U.nnz`` for the factor's
-    size.
+    matrices built on each access: the benchmark's tracer reads
+    ``lu.L.nnz + lu.U.nnz`` for the factor's size.
     """
 
     def __init__(self, band: np.ndarray):
@@ -301,10 +478,11 @@ def flux(fact: Factorization, rhs_scalar):
 
 def _apply(fact: Factorization, rhs_scalar, with_flux):
     ops = fact.system.operators
-    both = np.concatenate((rhs_scalar, fact.lu.solve(
-        ops.skeleton_rhs @ rhs_scalar + ops.skeleton_const)))
-    u = ops.scalar @ both + ops.scalar_const
-    return u, ops.flux @ both + ops.flux_const if with_flux else None
+    nc = fact.system.num_cells
+    x = np.zeros(ops.scalar.shape[1])   # [rhs_scalar; lambda_s; 0; 1]
+    x[:nc], x[-1] = rhs_scalar, 1.0
+    x[nc:-2] = fact.lu.solve(ops.skeleton_rhs @ x)
+    return ops.scalar @ x, ops.flux @ x if with_flux else None
 
 
 def _solve_hybrid(fact: Factorization, rhs_scalar, rhs_flux):
@@ -384,51 +562,61 @@ def _recover(system: SaddleSystem, condensed, boundary):
 
 def _solve_operators(system: SaddleSystem) -> SolveOperators:
     """Run the condensation and recovery, for all macros at once, on the
-    Dirichlet functional alone, on the unit right-hand sides of a
-    macro's eight cells and on the unit multipliers of its eight
-    skeleton positions."""
+    unit right-hand sides of a macro's eight cells, the unit multipliers
+    of its eight skeleton positions and the Dirichlet functional: entries
+    0-7, 8-15 and 16 of S's and F's rows, and 0-15 and 16 of R's."""
     forms = system.forms
     hybrid = forms.hybrid
+    nc, nsk = forms.num_cells, hybrid.skeleton_edges.size
     nm = hybrid.macro_multiplier.shape[1]
     dirichlet = np.zeros(hybrid.signs.shape)
     dirichlet.ravel()[hybrid.owner_slot] = forms.dirichlet_functional
     zero, no_rho = np.zeros((8, 1, nm)), np.zeros((3, 8, 1, nm))
     unit = np.broadcast_to(np.eye(8)[:, :, None], (8, 8, nm))
-    const = _condense(system, zero, _batch(dirichlet))
-    local = _condense(system, unit, no_rho)
-    u_const, q_const = _recover(system, const, zero)
-    u_local, q_local = _recover(system, local, zero)
-    u_skeleton, q_skeleton = _recover(
-        system, _condense(system, zero, no_rho), unit)
+    pair = hybrid.skeleton_slots.T
 
     def rows(a, index):
         # The batch at flat positions or slots of a batched array.
         *lead, macro = np.unravel_index(index, a.shape[:-2] + (nm,))
         return a[(*lead, slice(None), macro)]
 
-    layout = forms.constant_weight
-    pair = hybrid.skeleton_slots.T
-    rhs_const = const[-1][4:].ravel()
-    operators = (
-        _macro_csr(rows(local[-1][4:], pair), layout.skeleton_rhs),
-        rhs_const[pair[:, 0]] + rhs_const[pair[:, 1]],
-        _macro_csr(rows(np.concatenate([u_local, u_skeleton], axis=-2),
-                        hybrid.positions), layout.scalar_rows),
-        u_const.ravel()[hybrid.positions],
-        _macro_csr(rows(np.concatenate([q_local, q_skeleton], axis=-2),
-                        hybrid.owner_slot), layout.flux_rows),
-        q_const.ravel()[hybrid.owner_slot],
-    )
-    for a in operators[1::2]:
-        a.flags.writeable = False
-    return SolveOperators(*operators)
+    skeleton_rhs, scalar, flux = (np.empty((size, 17)) for size in (
+        nsk, nc, forms.num_edges))
+    for k, (rhs_scalar, rho, boundary) in enumerate((
+            (unit, no_rho, zero), (zero, no_rho, unit),
+            (zero, _batch(dirichlet), zero))):
+        condensed = _condense(system, rhs_scalar, rho)
+        u, q = _recover(system, condensed, boundary)
+        scalar[:, 8 * k:8 * k + u.shape[-2]] = rows(u, hybrid.positions)
+        flux[:, 8 * k:8 * k + q.shape[-2]] = rows(q, hybrid.owner_slot)
+        rhs = rows(condensed[-1][4:], pair)
+        if k == 0:
+            skeleton_rhs[:, :16] = rhs.reshape(nsk, 16)
+        elif k == 2:
+            skeleton_rhs[:, 16] = rhs[:, 0, 0] + rhs[:, 1, 0]
+        del condensed, rhs, u, q   # one batch's arrays at a time
 
+    # A macro's columns of x: its cells, its skeleton multipliers and the
+    # 1, with the 0 for a phantom cell or a missing multiplier.
+    x_zero = nc + nsk
+    cells = np.where(hybrid.cells < nc, hybrid.cells, x_zero).reshape(8, nm).T
+    columns = np.hstack([cells, nc + hybrid.macro_multiplier.T,
+                         np.full((nm, 1), x_zero + 1)]).astype(np.int32)
+    skeleton_columns = np.hstack([cells[pair % nm].reshape(nsk, 16), np.full(
+        (nsk, 1), x_zero + 1)]).astype(np.int32)
 
-def _macro_csr(candidates, layout):
-    """The matrix of a layout of ``fem._macro_rows`` with the values of
-    its candidates."""
-    return sps.csr_matrix((candidates.ravel()[layout.data], layout.indices,
-                           layout.indptr), shape=layout.shape)
+    def csr(data, indices):
+        indptr = np.arange(0, data.size + 1, 17, dtype=np.int32)
+        matrix = sps.csr_matrix((data.ravel(), indices.ravel(), indptr),
+                                shape=(data.shape[0], x_zero + 2))
+        for a in (matrix.data, matrix.indices, matrix.indptr):
+            a.flags.writeable = False
+        return matrix
+
+    return SolveOperators(
+        csr(skeleton_rhs, skeleton_columns),
+        csr(scalar, columns[hybrid.positions % nm]),
+        csr(flux, columns[hybrid.owner_slot % nm]))
 
 
 def residual_norm(system: SaddleSystem, u, q, rhs_scalar, rhs_flux) -> float:

@@ -232,23 +232,80 @@ def test_hybrid_matrix_is_symmetric_positive_definite():
 ])
 def test_skeleton_band_for_every_weight(n, size, bandwidth):
     # The skeleton, numbered row by row, is factorized as one band,
-    # whether the weight is Newton's or a constant L.  A constant L's
-    # solve operators are local to the macros: a skeleton edge's
-    # right-hand side takes the 16 cells of its two macros, and a cell's
-    # u or an edge's q the 8 cells and at most 8 skeleton edges of its
-    # macro.
+    # whether the weight is Newton's or a constant L; only a constant L
+    # gets solve operators.
     forms = assemble_forms(build_structured_unit_square(n))
     assert forms.hybrid.bandwidth == bandwidth
     newton = assemble(forms, _newton_weights(forms, 1e-4), 0.05)
     constant = assemble(forms, 84.0, 0.05)
+    assert newton.operators is None
     for system in (newton, constant):
         lu = factorize(system).lu
         assert lu.shape == (size, size)
         assert lu.band.shape == (bandwidth + 1, size)
-    if n == 32:
-        ops = constant.operators
-        assert [a.nnz for a in (ops.skeleton_rhs, ops.scalar, ops.flux)] == [
-            15_360, 15_360 + 16_384, 23_408 + 25_088]
+
+
+def _macro_columns(forms):
+    """The macro of each cell and, by macro, the sorted columns of
+    x = [rhs_scalar; lambda_s; 0; 1] its operator rows take: its cells,
+    and its skeleton numbers, each padded to 8 with the 0 column."""
+    mesh, nc = forms.mesh, forms.num_cells
+    nsk = forms.hybrid.skeleton_edges.size
+    square = np.arange(nc) // 2
+    side = (mesh.n + 1) // 2
+    macro = (square % mesh.n) // 2 + (square // mesh.n) // 2 * side
+    number = np.full(forms.num_edges, -1)
+    number[forms.hybrid.skeleton_edges] = np.arange(nsk)
+    columns = {}
+    for m in np.unique(macro):
+        cells = np.flatnonzero(macro == m)
+        skeleton = np.setdiff1d(number[mesh.cell_edges[cells]], [-1])
+        assert skeleton.size <= 8
+        columns[m] = (np.sort(np.append(cells, [nc + nsk] * (8 - cells.size))),
+                      np.sort(np.append(nc + skeleton,
+                                        [nc + nsk] * (8 - skeleton.size))))
+    return macro, columns
+
+
+@pytest.mark.parametrize("n", [11, 32])
+def test_operator_rows_are_fixed_width(n):
+    # Every row of R, S and F holds 17 entries over
+    # x = [rhs_scalar; lambda_s; 0; 1], the 0 standing in for a phantom
+    # cell (odd n) or a missing multiplier and the Dirichlet share last,
+    # on the 1: a skeleton edge's R row takes the cells of its two
+    # macros, a cell's S row and an edge's F row (by the edge's
+    # lowest-numbered cell) its macro's cells, then its skeleton numbers.
+    forms = assemble_forms(build_structured_unit_square(n))
+    ops = assemble(forms, 84.0, 0.05).operators
+    nc, ne = forms.num_cells, forms.num_edges
+    nsk = forms.hybrid.skeleton_edges.size
+    macro, columns = _macro_columns(forms)
+    # The lowest- and highest-numbered cells of each edge.
+    edge_cells = np.array([np.full(ne, nc), np.full(ne, -1)]).T
+    owner = np.repeat(np.arange(nc), 3)
+    np.minimum.at(edge_cells[:, 0], forms.mesh.cell_edges.ravel(), owner)
+    np.maximum.at(edge_cells[:, 1], forms.mesh.cell_edges.ravel(), owner)
+    for matrix, count in ((ops.skeleton_rhs, nsk), (ops.scalar, nc),
+                          (ops.flux, ne)):
+        assert matrix.shape == (count, nc + nsk + 2)
+        np.testing.assert_array_equal(matrix.indptr, np.arange(count + 1) * 17)
+        assert np.all(matrix.indices.reshape(count, 17)[:, 16] == nc + nsk + 1)
+    rows = ops.scalar.indices.reshape(nc, 17)
+    for cell in range(nc):
+        cells, skeleton = columns[macro[cell]]
+        np.testing.assert_array_equal(np.sort(rows[cell, :8]), cells)
+        np.testing.assert_array_equal(np.sort(rows[cell, 8:16]), skeleton)
+    rows = ops.flux.indices.reshape(ne, 17)
+    for edge in range(ne):
+        cells, skeleton = columns[macro[edge_cells[edge, 0]]]
+        np.testing.assert_array_equal(np.sort(rows[edge, :8]), cells)
+        np.testing.assert_array_equal(np.sort(rows[edge, 8:16]), skeleton)
+    rows = ops.skeleton_rhs.indices.reshape(nsk, 17)
+    for i, edge in enumerate(forms.hybrid.skeleton_edges):
+        first, second = macro[edge_cells[edge]]
+        assert first != second
+        both = np.concatenate([columns[first][0], columns[second][0]])
+        np.testing.assert_array_equal(np.sort(rows[i, :16]), np.sort(both))
 
 
 @pytest.mark.parametrize("n, newton", [
