@@ -50,6 +50,8 @@ system for a whole run) gets that solve precomputed at assembly, with
 the forms' Dirichlet functional as rhs_flux, as sparse maps over
 x = [rhs_scalar; lambda_s; 0; 1]: lambda_s solves the skeleton system
 with right-hand side R x, u = S x and, only when asked for, q = F x.
+The products call scipy's CSR kernel without the dispatch of ``@``,
+whose per-call cost rivals the kernel's at these sizes.
 Each row has 17 entries, local to a macro: a skeleton edge's R row the
 16 cells of its two macros, a cell's S row and an edge's F row the 8
 cells, then the 8 skeleton multipliers, of its macro; the last is the
@@ -73,6 +75,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sps
 from scipy.linalg import get_lapack_funcs
+from scipy.sparse._sparsetools import csr_matvec
 
 from degenmfem.fem import AssembledForms
 
@@ -481,8 +484,18 @@ def _apply(fact: Factorization, rhs_scalar, with_flux):
     nc = fact.system.num_cells
     x = np.zeros(ops.scalar.shape[1])   # [rhs_scalar; lambda_s; 0; 1]
     x[:nc], x[-1] = rhs_scalar, 1.0
-    x[nc:-2] = fact.lu.solve(ops.skeleton_rhs @ x)
-    return ops.scalar @ x, ops.flux @ x if with_flux else None
+    x[nc:-2] = fact.lu.solve(_product(ops.skeleton_rhs, x))
+    return (_product(ops.scalar, x),
+            _product(ops.flux, x) if with_flux else None)
+
+
+def _product(matrix: sps.csr_matrix, x):
+    """matrix @ x by the kernel scipy's product ends in, without its
+    dispatch: the same sums in the same order, into a fresh array."""
+    rows, cols = matrix.shape
+    out = np.zeros(rows)
+    csr_matvec(rows, cols, matrix.indptr, matrix.indices, matrix.data, x, out)
+    return out
 
 
 def _solve_hybrid(fact: Factorization, rhs_scalar, rhs_flux):
@@ -521,11 +534,15 @@ def _condense(system: SaddleSystem, rhs_scalar, rho):
     m_rho = np.einsum("kl...,k...->l...", minv, rho)
     s_m_rho = signs * m_rho
     u0 = (rhs_scalar - system.tau * s_m_rho.sum(axis=0)) / _batch(system.den)
-    local_rhs = (s_m_rho + v * u0) * inside
+    # (s_m_rho + v u0) inside and the side rhs below, in place.
+    local_rhs = v * u0
+    local_rhs += s_m_rho
+    local_rhs *= inside
     local_rhs = local_rhs.reshape((3, 2, 4) + local_rhs.shape[2:])
     diagonal_rhs = local_rhs[2, 0] + local_rhs[2, 1]
-    side_rhs = (local_rhs[:2].reshape((4,) + diagonal_rhs.shape)
-                - coupling * (diagonal_rhs / pivot))
+    side_rhs = coupling * (diagonal_rhs / pivot)
+    np.subtract(local_rhs[:2].reshape((4,) + diagonal_rhs.shape), side_rhs,
+                out=side_rhs)
     rhs = side_rhs[_FIRST_SIDE]
     rhs[:4] += side_rhs[_SECOND_SIDE]
     for k, cols in enumerate(_CROSS_COUPLED):
@@ -548,15 +565,24 @@ def _recover(system: SaddleSystem, condensed, boundary):
         cols = _CROSS_COUPLED[k]
         lam[k] = (rhs[k] / cross_pivot[k]
                   - (rows[k, cols] * lam[cols]).sum(axis=0))
-    sides = lam[MACRO_SIDES.T]
-    diagonal = (diagonal_rhs - (coupling * sides).sum(axis=0)) / pivot
-    lam = np.concatenate([sides.reshape((2, 2) + sides.shape[1:]),
-                          np.broadcast_to(diagonal, (1, 2) + diagonal.shape)])
-    lam = lam.reshape((3, 8) + lam.shape[3:])
-    u = u0 + system.tau * np.einsum("k...,k...->...", _batch(hybrid.v),
-                                    lam) / _batch(system.den)
-    q = m_rho + _batch(hybrid.m) * u - np.einsum(
-        "kl...,k...->l...", _batch(hybrid.minv), _batch(hybrid.signs) * lam)
+    # The multipliers by slot: each square's sides, then its diagonal,
+    # shared by its two triangles.  mode="clip" lets take write to its
+    # out directly; the indices are all in range.
+    local = np.empty((3, 2, 4) + lam.shape[1:])
+    sides = local[:2].reshape((4, 4) + lam.shape[1:])
+    np.take(lam, MACRO_SIDES.T, axis=0, out=sides, mode="clip")
+    local[2] = (diagonal_rhs - (coupling * sides).sum(axis=0)) / pivot
+    lam = local.reshape((3, 8) + local.shape[3:])
+    # u0 + tau (v . lam) / den and m_rho + m u - minv (signs lam), in
+    # place: the same operations on the same operands.
+    u = np.einsum("k...,k...->...", _batch(hybrid.v), lam)
+    u *= system.tau
+    u /= _batch(system.den)
+    u += u0
+    q = _batch(hybrid.m) * u
+    q += m_rho
+    lam *= _batch(hybrid.signs)
+    q -= np.einsum("kl...,k...->l...", _batch(hybrid.minv), lam)
     return u, q
 
 

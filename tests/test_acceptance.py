@@ -73,6 +73,13 @@ TAUS = (0.05, 0.025, 0.0125)
 # the byte: an optimisation must leave them unchanged.
 PINNED_TABLES = Path(__file__).parent / "data"
 PINNED_REFERENCE_ITERATIONS = {0.05: 7_267, 0.025: 24_677, 0.0125: 86_436}
+# Per-step iteration counts of the n = 16, tau = 0.0125 reference.
+PINNED_N16_REFERENCE_STEPS = [
+    4932, 3869, 3877, 3322, 3054, 2877, 2948, 2817, 2567, 2419,
+    2089, 2341, 2091, 2249, 2180, 2192, 23399, 2005, 1974, 1943,
+    1923, 1692, 1768, 1683, 1728, 1807, 1796, 1858, 1754, 1818,
+    1867, 1789, 1711, 1740, 1731, 1742, 1693, 1761, 1747, 1803,
+]
 
 # Expected (delta, L) selections per (tol, tau), and L per eps.
 EXPECTED_PARAMS = {
@@ -424,11 +431,29 @@ def test_n32_tables_match_pinned_output(bench):
         == PINNED_REFERENCE_ITERATIONS
 
 
-def test_criterion_8_discretization_sanity(bench):
+@pytest.fixture(scope="module")
+def reference16():
+    """The n = 16, tau = 0.0125 reference and its mesh."""
     tau = 0.0125
-    mesh16 = build_structured_unit_square(16)
-    forms16 = assemble_forms(mesh16, MSOL.boundary_value)
-    ref16 = compute_reference(mesh16, forms16, tau, steps_for_tau(MSOL, tau))
+    mesh = build_structured_unit_square(16)
+    forms = assemble_forms(mesh, MSOL.boundary_value)
+    return mesh, compute_reference(mesh, forms, tau, steps_for_tau(MSOL, tau))
+
+
+def test_n16_reference_step_counts(reference16):
+    # A reference with a stalled step: step 17 runs to the 200,000 cap at
+    # L = 134 and 536 and converges at L = 2144.  The increment rule
+    # decides every step, so each count of the final attempts holds
+    # exactly.
+    _, ref16 = reference16
+    assert [r.report.iterations_used for r in ref16] \
+        == PINNED_N16_REFERENCE_STEPS
+    assert total_iterations(ref16) == 110_556
+
+
+def test_criterion_8_discretization_sanity(bench, reference16):
+    tau = 0.0125
+    mesh16, ref16 = reference16
     err16 = discretization_error(mesh16, ref16)
     err32 = discretization_error(bench["mesh"], bench["references"][tau])
     failures = []

@@ -352,6 +352,27 @@ def test_band_solve_matches_dense_oracle(n, newton):
         np.testing.assert_array_equal(again[1], expected[1])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 11, 32])
+def test_operator_products_are_scipys(n):
+    # A constant-weight solve calls scipy's private CSR kernel without
+    # its dispatch: u and q are, to the bit, scipy's R @ x, S @ x and
+    # F @ x, so a scipy release that changes the kernel fails here.
+    forms = assemble_forms(build_structured_unit_square(n), -0.5)
+    rng = np.random.default_rng(80 + n)
+    fact = factorize(assemble(forms, 84.0, 0.05))
+    ops = fact.system.operators
+    nc = forms.num_cells
+    rhs_s = rng.normal(size=nc)
+    x = np.zeros(ops.scalar.shape[1])
+    x[:nc], x[-1] = rhs_s, 1.0
+    x[nc:-2] = fact.lu.solve(ops.skeleton_rhs @ x)
+    u, q = solve(fact, rhs_s, forms.dirichlet_functional)
+    assert u.tobytes() == (ops.scalar @ x).tobytes()
+    assert q.tobytes() == (ops.flux @ x).tobytes()
+    assert solve(fact, rhs_s)[0].tobytes() == u.tobytes()
+    assert flux(fact, rhs_s).tobytes() == q.tobytes()
+
+
 def test_band_cholesky_rejects_indefinite_matrix():
     # The band Cholesky of a matrix that is not positive definite fails
     # with a singular system, for a constant and for per-cell weights.

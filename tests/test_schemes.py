@@ -1,6 +1,11 @@
+import functools
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import degenmfem.schemes as schemes
 from degenmfem.fem import assemble_forms, l2_norm_scalar
@@ -187,26 +192,53 @@ def test_increment_stopping_mode(forms):
     assert all(e < 1e6 for e in report.error_history)
 
 
-def _eager_update(self, u_new, q_new, u_old, q_old):
-    # The increment rule with both relative norms computed at every
-    # iteration, as it was before they became lazy.
-    du = l2_norm_scalar(self.mesh, u_new - u_old)
-    if q_old is None:
-        return False, not np.all(np.isfinite(u_new))
-    dq = schemes.l2_norm_flux(self.forms, q_new - q_old)
-    abs_sum = du + dq
-    self.error_history.append(abs_sum)
-    if not np.isfinite(abs_sum) or abs_sum > schemes.DIVERGENCE_THRESHOLD:
-        return False, True
-    rel = (du / l2_norm_scalar(self.mesh, u_new)
-           + dq / schemes.l2_norm_flux(self.forms, q_new))
-    return abs_sum < self.crit.tol and rel < self.crit.tol, False
+def _eager_rule(cheap):
+    """The increment rule on flux norms at every iteration, with both
+    relative norms computed every time: the rule before the cell-vector
+    screen and the lazy relative norms.  A constant weight's increments
+    from cell vectors, as the screen forms them, go to ``cheap``."""
+
+    def update(self, u_new, q_new, rhs_new):
+        if q_new is None:
+            q_new = schemes.flux(self.fact, rhs_new)
+        u_old, q_old, rhs_old = self.u, self.q, self.rhs
+        self.u, self.q, self.rhs = u_new, q_new, rhs_new
+        du = l2_norm_scalar(self.mesh, u_new - u_old)
+        if q_old is None:
+            return False, not np.all(np.isfinite(u_new))
+        if self.fact is not None:
+            system = self.fact.system
+            energy = ((u_new - u_old) @ (rhs_new - rhs_old)
+                      - system.weights[0] * du * du) / system.tau
+            cheap.append(du + np.sqrt(max(energy, 0.0)))
+        dq = schemes.l2_norm_flux(self.forms, q_new - q_old)
+        abs_sum = du + dq
+        self.error_history.append(abs_sum)
+        if not np.isfinite(abs_sum) or abs_sum > schemes.DIVERGENCE_THRESHOLD:
+            return False, True
+        rel = (du / l2_norm_scalar(self.mesh, u_new)
+               + dq / schemes.l2_norm_flux(self.forms, q_new))
+        return abs_sum < self.crit.tol and rel < self.crit.tol, False
+
+    return update
+
+
+def _same_outcome(a, b):
+    (u_a, q_a, rep_a), (u_b, q_b, rep_b) = a, b
+    assert (rep_a.iterations_used, rep_a.converged, rep_a.failure_reason) \
+        == (rep_b.iterations_used, rep_b.converged, rep_b.failure_reason)
+    assert u_a.tobytes() == u_b.tobytes()
+    assert q_a.tobytes() == q_b.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["hl", "newton"])
 def test_increment_norms_only_below_tol(forms, monkeypatch, kind):
-    # The relative norms are computed only once the absolute increment
-    # is below TOL, and the report is the one of the eager rule.
+    # Decisions, counts, u and q are the eager rule's.  Newton's flux
+    # norm runs once per iteration from the second solve on, its relative
+    # norms only below TOL, and it records the eager increments.  A
+    # constant weight takes its increments from cell vectors and forms
+    # flux norms only in the screen band: there it records the eager
+    # increments, and elsewhere the cheap ones, within 1e-3 TOL of them.
     tol = 1e-10
     u_star, _, u_prev, f_n = _manufactured_linear_step(forms, seed=9)
     stop = StoppingCriterion(mode="increment", tol=tol)
@@ -222,23 +254,99 @@ def test_increment_norms_only_below_tol(forms, monkeypatch, kind):
     def step():
         return linearized_iterate(forms, config, storage, u_prev, f_n)
 
+    cheap = []
     with monkeypatch.context() as patch:
-        patch.setattr(schemes._Stopping, "update", _eager_update)
-        eager = step()[2]
-    calls = []
-    flux_norm = schemes.l2_norm_flux
-    monkeypatch.setattr(schemes, "l2_norm_flux",
-                        lambda *args: calls.append(1) or flux_norm(*args))
-    report = step()[2]
-    assert report.converged
-    assert report.iterations_used == eager.iterations_used
-    assert report.error_history == eager.error_history
-    # One increment norm per iteration from the second solve on, and one
-    # relative norm per increment below TOL.
-    history = report.error_history
-    below = sum(e < tol for e in history)
-    assert 1 <= below < len(history)
-    assert len(calls) == len(history) + below
+        patch.setattr(schemes._Stopping, "update", _eager_rule(cheap))
+        eager = step()
+    # The flux norms by iteration, counted through the solves.
+    solves, calls = [], []
+    solve, flux_norm = schemes.solve, schemes.l2_norm_flux
+    monkeypatch.setattr(schemes, "solve",
+                        lambda *args: solves.append(1) or solve(*args))
+    monkeypatch.setattr(schemes, "l2_norm_flux", lambda *args: calls.append(
+        len(solves)) or flux_norm(*args))
+    screened = step()
+    _same_outcome(screened, eager)
+    report, exact = screened[2].error_history, eager[2].error_history
+    assert screened[2].converged
+    if kind == "hl":
+        band = [c < tol * (1 + schemes.SCREEN_MARGIN) for c in cheap]
+        assert any(band) and not all(band)
+        for recorded, e, in_band in zip(report, exact, band, strict=True):
+            assert recorded == e if in_band else abs(recorded - e) < 1e-3 * tol
+    else:
+        assert report == exact
+        band = [True] * len(exact)
+    # Entry k of the history is the increment of solve k + 2.
+    assert Counter(calls) == {k + 2: 1 + (e < tol)
+                              for k, e in enumerate(exact) if band[k]}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 11])
+def test_flux_increment_from_cell_vectors(n):
+    # For a constant weight L, L |T| u + tau B q = rhs and M q - B^T u = g
+    # give ||q_i - q_{i-1}||_M^2 = (du . drhs - L ||du||^2) / tau from the
+    # solve's cell vectors.  Odd n has phantom macro cells.
+    forms = assemble_forms(build_structured_unit_square(n), -0.5)
+    rng = np.random.default_rng(70 + n)
+    big_l, tau = rng.uniform(1.0, 200.0), rng.uniform(0.01, 0.1)
+    fact = factorize(assemble(forms, big_l, tau))
+    areas = forms.scalar_mass
+    rhs_old, rhs_new = areas * rng.normal(size=(2, forms.num_cells))
+    (u_old, no_flux), (u_new, _) = (schemes.solve(fact, r)
+                                    for r in (rhs_old, rhs_new))
+    assert no_flux is None
+    q_old, q_new = (schemes.flux(fact, r) for r in (rhs_old, rhs_new))
+    np.testing.assert_allclose(forms.divergence @ q_new,
+                               (rhs_new - big_l * areas * u_new) / tau,
+                               rtol=0, atol=1e-10 * np.abs(rhs_new).max() / tau)
+    du_vec = u_new - u_old
+    du = l2_norm_scalar(forms.mesh, du_vec)
+    exact = schemes.l2_norm_flux(forms, q_new - q_old)
+    energy = (du_vec @ (rhs_new - rhs_old) - big_l * du * du) / tau
+    assert energy == pytest.approx(exact ** 2, rel=1e-9)
+    tracker = schemes._Stopping(
+        forms, StoppingCriterion(mode="increment", tol=1.0), fact)
+    assert tracker._cheap_dq(du_vec, du, rhs_new - rhs_old) \
+        == pytest.approx(exact, rel=1e-9)
+
+
+@functools.cache
+def _forms(n):
+    return assemble_forms(build_structured_unit_square(n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       big_l=st.floats(0.05, 20.0), tau=st.floats(0.01, 1.0),
+       tol_exp=st.floats(-13.0, -4.0),
+       cut=st.none() | st.tuples(st.integers(0, 8), st.floats(-1e-9, 1e-9)))
+def test_screened_increment_rule_matches_eager(n, seed, big_l, tau, tol_exp,
+                                               cut):
+    # The screened rule decides as the eager exact rule, to the bits of
+    # u and q, for converging, capped and diverging steps.  ``cut`` puts
+    # the divergence threshold within 1e-9 of one eager increment, where
+    # only the exact increment can decide.
+    forms = _forms(n)
+    _, _, u_prev, f_n = _manufactured_linear_step(forms, tau, seed)
+    config = SchemeConfig(
+        kind="hl", tau=tau, nonlinearity=HOLDER, L=big_l, max_iterations=400,
+        stopping=StoppingCriterion(mode="increment", tol=10.0 ** tol_exp))
+    storage = config.storage_function()(u_prev)
+
+    def step(rule, threshold=schemes.DIVERGENCE_THRESHOLD):
+        with pytest.MonkeyPatch.context() as patch:
+            if rule is not None:
+                patch.setattr(schemes._Stopping, "update", rule)
+            patch.setattr(schemes, "DIVERGENCE_THRESHOLD", threshold)
+            return linearized_iterate(forms, config, storage, u_prev, f_n)
+
+    threshold = schemes.DIVERGENCE_THRESHOLD
+    if cut is not None:
+        history = step(_eager_rule([]))[2].error_history
+        if history:
+            threshold = history[min(cut[0], len(history) - 1)] * (1 + cut[1])
+    _same_outcome(step(None, threshold), step(_eager_rule([]), threshold))
 
 
 def test_max_iterations_reported(forms):
