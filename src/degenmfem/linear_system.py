@@ -51,7 +51,7 @@ the forms' Dirichlet functional as rhs_flux, as sparse maps over
 x = [rhs_scalar; lambda_s; 0; 1]: lambda_s solves the skeleton system
 with right-hand side R x, u = S x and, only when asked for, q = F x.
 The products call scipy's CSR kernel without the dispatch of ``@``,
-whose per-call cost rivals the kernel's at these sizes.
+to the same bits.
 Each row has 17 entries, local to a macro: a skeleton edge's R row the
 16 cells of its two macros, a cell's S row and an edge's F row the 8
 cells, then the 8 skeleton multipliers, of its macro; the last is the

@@ -48,11 +48,12 @@ the energy identity of the L-scheme's convergence proof for mixed
 elements (Pop-Radu-Knabner 2004, List-Radu 2016), from cell vectors
 alone.  The sum it gives screens the decision: when it lies below
 TOL (1 + ``SCREEN_MARGIN``), within a relative ``SCREEN_MARGIN`` of
-``DIVERGENCE_THRESHOLD`` or is not finite, the shipped sum is computed
-from both iterates' q, and it decides, the relative test included.  The
-cancellation in the identity costs digits near TOL (measured up to
-3.2e-4 TOL), far inside the margin, so every decision is the one the
-flux norms give.  Newton keeps the flux norms.  Non-convergence is
+``DIVERGENCE_THRESHOLD`` or is not finite, the sum is taken again from
+the flux norms of both iterates' q, and that one decides, the relative
+test included.  The cancellation in the identity costs digits near TOL
+(measured up to 3.2e-4 TOL), far inside the margin, so every decision
+is the one the flux norms give.  Newton keeps the flux norms.
+Non-convergence is
 reported, never raised: exceeding the iteration cap, error blow-up past
 ``DIVERGENCE_THRESHOLD``, and singular systems are distinguished in
 ``IterationReport.failure_reason``.
@@ -245,7 +246,7 @@ class _Stopping:
             self.error_history.append(
                 l2_norm_scalar(self.mesh, u - self.crit.reference))
 
-    def flux(self):
+    def last_flux(self):
         """q of the last recorded iterate, formed once when left out."""
         if self.q is None:
             self.q = flux(self.fact, self.rhs)
@@ -262,7 +263,7 @@ class _Stopping:
             self.error_history.append(err)
             if self.flux_error_history is not None:
                 self.flux_error_history.append(l2_norm_flux(
-                    self.forms, self.flux() - self.crit.flux_reference))
+                    self.forms, self.last_flux() - self.crit.flux_reference))
             if not math.isfinite(err) or err > DIVERGENCE_THRESHOLD:
                 return False, True
             return err < self.crit.tol, False
@@ -283,7 +284,7 @@ class _Stopping:
                 self.error_history.append(abs_sum)
                 return False, abs_sum > limit
             q_old = q_old if q_old is not None else flux(self.fact, rhs_old)
-            q_new = self.flux()
+            q_new = self.last_flux()
         dq = l2_norm_flux(self.forms, q_new - q_old)
         abs_sum = du + dq
         self.error_history.append(abs_sum)
@@ -301,7 +302,8 @@ class _Stopping:
     def _cheap_dq(self, du_vec, du, drhs):
         """||q_i - q_{i-1}||_M from cell vectors (see the module notes)."""
         system = self.fact.system
-        energy = (np.dot(du_vec, drhs) - system.weights[0] * du * du) / system.tau
+        energy = (np.dot(du_vec, drhs)
+                  - system.weights[0] * du * du) / system.tau
         return math.sqrt(max(energy, 0.0))
 
 
@@ -365,7 +367,8 @@ def linearized_iterate(forms, config, storage_prev, u_init, f_n, fact=None):
         if converged:
             break
     # A step whose first solve failed keeps a zero flux.
-    q = np.zeros(forms.num_edges) if tracker.rhs is None else tracker.flux()
+    q = (np.zeros(forms.num_edges) if tracker.rhs is None
+         else tracker.last_flux())
 
     return u, q, IterationReport(
         iterations_used=iterations,
