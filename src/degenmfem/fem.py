@@ -53,7 +53,8 @@ class AssembledForms:
         outflow of q through the boundary of T.
     dirichlet_functional : (num_edges,) array
         g with g_E = -int_{E} g_D phi_E . n on boundary edges, 0 inside,
-        so the discrete flux equation reads  M q - B^T u = g.
+        so the discrete flux equation reads  M q - B^T u = g.  It is the
+        flux right-hand side of every ``linear_system.solve``.
     local_mass : (num_cells, 3, 3) array
         The per-cell blocks M_T of M, in the cell's local edge order.
     """

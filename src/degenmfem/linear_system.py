@@ -3,11 +3,12 @@
 Every iteration of every scheme reduces to the block system
 
     [ D     tau B ] [u]   [rhs_scalar]
-    [ -B^T  M     ] [q] = [rhs_flux  ],
+    [ -B^T  M     ] [q] = [g         ],
 
 with D = diag(d_T |T|) for per-cell linearization weights d_T >= 0
 (the constant L for the L-type schemes, b'_eps(u_T) for Newton), the
-divergence matrix B and the flux mass M from the assembled forms.  The
+divergence matrix B, the flux mass M and the Dirichlet functional g
+from the assembled forms, the flux side of every solve.  The
 matrix is nonsingular whenever the weights are nonnegative and tau > 0
 since M is symmetric positive definite and B has full row rank.
 
@@ -22,15 +23,16 @@ eliminating the cell unknowns leaves
     H = sum_T P_T^T (S_T M_T^{-1} S_T - (tau / den_T) v_T v_T^T) P_T
 
 on the interior edges, symmetric positive definite for all weights
-d_T >= 0, zero included.  Each entry of rhs_flux belongs to the
+d_T >= 0, zero included.  Each entry of g belongs to the
 lowest-numbered cell of its edge; u_T and q follow cell by cell from
 lambda.  H is condensed further, in numpy and for all 2x2 macro squares
 at once: first the square diagonals, which share no cell (one pivot per
 square), then each macro's inner cross (four pivots).  The multipliers
 left are the skeleton, the interior edges on the macros' boundaries;
-their Schur complement is assembled from the macros' 8x8 blocks, with a
-pattern fixed per mesh.  Macros cut by the domain's top or right side
-(odd n) are completed by phantom cells whose multipliers decouple.
+their Schur complement is assembled from the macros' 8x8 blocks,
+straight into the entries of its upper band, whose places are fixed per
+mesh.  Macros cut by the domain's top or right side (odd n) are
+completed by phantom cells whose multipliers decouple.
 
 The skeleton is numbered by edge midpoint, y then x, which gives a
 bandwidth of about 2n, and its matrix is factorized by LAPACK's band
@@ -42,14 +44,14 @@ The mesh-only operators of the reduction (``HybridOperators``, with the
 macro numbering ``MACRO_SIDES``) are built once per mesh and cached by
 the forms' ``hybrid``.
 
-A solve takes one of two forms.  Newton's weights change every
-iteration, so its solve runs per call: condense the right-hand side
-macro by macro, solve on the skeleton, recover the crosses, the
-diagonals and the cells.  A constant weight (the L-type schemes, one
-system for a whole run) gets that solve precomputed at assembly, with
-the forms' Dirichlet functional as rhs_flux, as sparse maps over
-x = [rhs_scalar; lambda_s; 0; 1]: lambda_s solves the skeleton system
-with right-hand side R x, u = S x and, only when asked for, q = F x.
+A solve takes rhs_scalar alone and one of two forms.  Newton's weights
+change every iteration, so its solve runs per call: condense the
+right-hand side macro by macro, solve on the skeleton, recover the
+crosses, the diagonals and the cells.  A constant weight (the L-type
+schemes, one system for a whole run) gets that solve precomputed at
+assembly as sparse maps over x = [rhs_scalar; lambda_s; 0; 1]:
+lambda_s solves the skeleton system with right-hand side R x, u = S x
+and, only when ``flux`` asks for it, q = F x.
 The products call scipy's CSR kernel without the dispatch of ``@``,
 to the same bits.
 Each row has 17 entries, local to a macro: a skeleton edge's R row the
@@ -64,12 +66,9 @@ is kept per mesh.
 Each factorization keeps the system it was built from, so the step loop
 rejects one built for another (L, tau).  A ``Factorization`` is
 immutable; solves are pure functions of (factorization, right-hand
-side) and repeated solves are bit-identical.  ``SaddleSystem.matrix``
-builds the full block matrix on demand, the oracle for tests and
-``residual_norm``.
+side) and repeated solves are bit-identical.
 """
 
-import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -133,20 +132,19 @@ class HybridOperators:
     The skeleton is the interior edges on the macros' boundaries;
     ``skeleton_edges`` lists them by edge midpoint, y then x, which keeps
     a macro's eight skeleton edges within ``bandwidth`` (about 2n) of
-    each other, with the fixed pattern of their condensed matrix,
-    ``skeleton_pattern`` (zero entries, its canonical format checked
-    once).  Entry ``band_entries[j]`` of the pattern lies in its upper
-    triangle and goes to the flat index ``band_slot[j]`` of LAPACK's
-    upper band storage, a Fortran-ordered (bandwidth + 1, num_skeleton)
-    array.  ``macro_multiplier[b, M]``
-    is the skeleton number of position 4 + b of macro M, or the number
-    of skeleton edges if it has none, and ``skeleton_slots[:, i]`` the
-    two flat (8, num_macros) indices of skeleton edge i.  Each pair of
-    skeleton positions of a macro adds the flat entry ``pair_slot[j]``
-    of the upper triangles of the macros' (12, 12, num_macros) blocks to
-    entry ``pair_pos[j]`` of the pattern.  ``owner_slot[E]``
-    is the slot of edge E in its lowest-numbered cell.  ``minv`` is
-    exactly symmetric, so ``minv[l]`` holds the columns l of the blocks.
+    each other.  Their condensed matrix is kept as the entries of its
+    upper band that the macros reach: entry k goes to the flat index
+    ``band_slot[k]`` (ascending) of LAPACK's upper band storage, a
+    Fortran-ordered (bandwidth + 1, num_skeleton) array.
+    ``macro_multiplier[b, M]`` is the skeleton number of position 4 + b
+    of macro M, or the number of skeleton edges if it has none, and
+    ``skeleton_slots[:, i]`` the two flat (8, num_macros) indices of
+    skeleton edge i.  Each pair of skeleton positions of a macro whose
+    entry lies in the upper band adds the flat entry ``pair_slot[j]`` of
+    the upper triangles of the macros' (12, 12, num_macros) blocks to
+    band entry ``pair_pos[j]``.  ``owner_slot[E]`` is the slot of edge E
+    in its lowest-numbered cell.  ``minv`` is exactly symmetric, so
+    ``minv[l]`` holds the columns l of the blocks.
     """
 
     cells: np.ndarray
@@ -165,10 +163,8 @@ class HybridOperators:
     owner_slot: np.ndarray
     skeleton_slots: np.ndarray
     macro_multiplier: np.ndarray
-    skeleton_pattern: sps.csc_matrix
-    bandwidth: int
-    band_entries: np.ndarray
     band_slot: np.ndarray
+    bandwidth: int
 
 
 def hybrid_operators(forms: AssembledForms) -> HybridOperators:
@@ -231,26 +227,19 @@ def hybrid_operators(forms: AssembledForms) -> HybridOperators:
     skeleton_slots = slots[np.argsort(
         slot_multiplier[slots], kind="stable")].reshape(nsk, 2).T
 
-    # Every pair of skeleton positions of a macro adds the entry of the
-    # upper triangle of its block to one entry of the pattern.
+    # Every pair of skeleton positions of a macro whose entry (row <= col)
+    # lies in the upper band adds the entry of the upper triangle of its
+    # block to that entry, at its index in LAPACK's upper band storage.
     b = np.arange(4, 12)
     upper = np.minimum.outer(b, b) * 12 + np.maximum.outer(b, b)
-    rows = np.broadcast_to(macro_multiplier[:, None], (8, 8, nm)).ravel()
-    cols = np.broadcast_to(macro_multiplier[None], (8, 8, nm)).ravel()
-    keep = (rows < nsk) & (cols < nsk)
+    row = np.broadcast_to(macro_multiplier[None], (8, 8, nm)).ravel()
+    col = np.broadcast_to(macro_multiplier[:, None], (8, 8, nm)).ravel()
+    keep = (row <= col) & (col < nsk)
+    row, col = row[keep], col[keep]
     pair_slot = (upper[:, :, None] * nm + np.arange(nm)).ravel()[keep]
-    keys, pair_pos = np.unique(rows[keep] * nsk + cols[keep],
-                               return_inverse=True)
-    row, col = keys % nsk, keys // nsk
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=nsk))])
-    pattern = sps.csc_matrix((np.zeros(keys.size), row.astype(np.int32),
-                              indptr.astype(np.int32)), shape=(nsk, nsk))
-    # Records that the pattern is canonical, so its copies skip the check.
-    pattern.sum_duplicates()
-    # LAPACK's upper band storage holds the pattern's upper triangle.
     bandwidth = int(np.max(col - row, initial=0))
-    band_entries = np.flatnonzero(row <= col)
-    band_slot = (col * (bandwidth + 1) + bandwidth + row - col)[band_entries]
+    band_slot, pair_pos = np.unique(
+        col * (bandwidth + 1) + bandwidth + row - col, return_inverse=True)
 
     # The slot of local edge k of position p is k P + p.
     _, first = np.unique(cell_edges.ravel(), return_index=True)
@@ -260,12 +249,10 @@ def hybrid_operators(forms: AssembledForms) -> HybridOperators:
               by_position(m), beta, by_position(v), by_position(inside),
               by_position(ssm, np.eye(3)), by_position(vv), skeleton,
               pair_pos, pair_slot, owner_slot, skeleton_slots.copy(),
-              macro_multiplier)
-    for a in arrays + (pattern.data, pattern.indices, pattern.indptr,
-                       band_entries, band_slot):
+              macro_multiplier, band_slot)
+    for a in arrays:
         a.flags.writeable = False
-    return HybridOperators(*arrays, pattern, bandwidth, band_entries,
-                           band_slot)
+    return HybridOperators(*arrays, bandwidth)
 
 
 @dataclass(frozen=True)
@@ -283,7 +270,9 @@ class SaddleSystem:
     """Immutable assembled system (right-hand sides supplied per solve).
 
     ``reduced`` is the condensed hybridized matrix on the skeleton, which
-    is factorized; the rest follows ``HybridOperators``' layout: ``den``
+    is factorized, as the entries of its upper band at
+    ``HybridOperators.band_slot``, a read-only 1-D array; the rest
+    follows ``HybridOperators``' layout: ``den``
     is d_T |T| + tau beta_T by position (1 on phantoms), ``pivot``
     (4, num_macros) and ``coupling`` (4 sides, 4, num_macros) are each
     square's condensed diagonal entry and its couplings to the square's
@@ -296,7 +285,7 @@ class SaddleSystem:
     forms: AssembledForms
     weights: np.ndarray
     tau: float
-    reduced: sps.csc_matrix = field(repr=False)
+    reduced: np.ndarray = field(repr=False)
     den: np.ndarray = field(repr=False)
     pivot: np.ndarray = field(repr=False)
     coupling: np.ndarray = field(repr=False)
@@ -307,23 +296,6 @@ class SaddleSystem:
     @property
     def num_cells(self) -> int:
         return self.forms.num_cells
-
-    @property
-    def num_edges(self) -> int:
-        return self.forms.num_edges
-
-    @property
-    def matrix(self) -> sps.csc_matrix:
-        """The full block matrix, built on each access."""
-        forms = self.forms
-        return sps.bmat(
-            [
-                [sps.diags(self.weights * forms.scalar_mass),
-                 self.tau * forms.divergence],
-                [-forms.divergence.T, forms.flux_mass],
-            ],
-            format="csc",
-        )
 
 
 _PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
@@ -416,14 +388,12 @@ def assemble(forms: AssembledForms, weights, tau: float) -> SaddleSystem:
     for k, cols in enumerate(_CROSS_COUPLED):
         row = macro[k, cols]
         macro[cols, cols] -= (row / macro[k, k])[:, None] * row[None]
-    # The pattern is the mesh's, checked once when it was built.
-    reduced = copy.copy(hybrid.skeleton_pattern)
-    reduced.data = np.bincount(hybrid.pair_pos, minlength=reduced.nnz,
-                               weights=macro.ravel()[hybrid.pair_slot])
+    reduced = np.bincount(hybrid.pair_pos, minlength=hybrid.band_slot.size,
+                          weights=macro.ravel()[hybrid.pair_slot])
     cross_pivot = macro[range(4), range(4)]
     cross_rows = macro[:4] / cross_pivot[:, None]
     coupling = coupling.copy()
-    for a in (den, pivot, coupling, cross_pivot, cross_rows):
+    for a in (reduced, den, pivot, coupling, cross_pivot, cross_rows):
         a.flags.writeable = False
     system = SaddleSystem(forms, weights, float(tau), reduced, den, pivot,
                           coupling, cross_pivot, cross_rows)
@@ -437,7 +407,7 @@ def factorize(system: SaddleSystem) -> Factorization:
     hybrid = system.forms.hybrid
     nsk = hybrid.skeleton_edges.size
     band = np.zeros((hybrid.bandwidth + 1) * nsk)
-    band[hybrid.band_slot] = system.reduced.data[hybrid.band_entries]
+    band[hybrid.band_slot] = system.reduced
     band, info = _PBTRF(band.reshape(hybrid.bandwidth + 1, nsk, order="F"),
                         overwrite_ab=1)
     if info != 0:
@@ -445,30 +415,21 @@ def factorize(system: SaddleSystem) -> Factorization:
     return Factorization(BandCholesky(band), system)
 
 
-def solve(fact: Factorization, rhs_scalar, rhs_flux=None):
-    """Solve for (u, q) given per-cell and per-edge right-hand sides.
-
-    Without ``rhs_flux`` the flux right-hand side is the forms' Dirichlet
-    functional, and a constant-weight system forms u alone: q is None
-    and ``flux`` gives it.  u is the same either way, to the bit.
+def solve(fact: Factorization, rhs_scalar):
+    """Solve for (u, q) given the per-cell right-hand side, with the
+    forms' Dirichlet functional on the flux side.  A constant-weight
+    system forms u alone: q is None and ``flux`` gives it.
     """
     system = fact.system
-    nc, ne = system.num_cells, system.num_edges
+    nc = system.num_cells
     rhs_scalar = np.asarray(rhs_scalar, dtype=float)
     if rhs_scalar.shape != (nc,):
         raise ValueError(f"rhs_scalar must have shape ({nc},)")
-    dirichlet = system.forms.dirichlet_functional
-    if rhs_flux is not None:
-        rhs_flux = np.asarray(rhs_flux, dtype=float)
-        if rhs_flux.shape != (ne,):
-            raise ValueError(f"rhs_flux must have shape ({ne},)")
-    if system.operators is not None and (
-            rhs_flux is None or rhs_flux is dirichlet
-            or np.array_equal(rhs_flux, dirichlet)):
-        u, q = _apply(fact, rhs_scalar, rhs_flux is not None)
+    ops = system.operators
+    if ops is not None:
+        u, q = _product(ops.scalar, _unknowns(fact, rhs_scalar)), None
     else:
-        u, q = _solve_hybrid(fact, rhs_scalar,
-                             dirichlet if rhs_flux is None else rhs_flux)
+        u, q = _solve_hybrid(fact, rhs_scalar)
     if not (np.isfinite(u).all() and (q is None or np.isfinite(q).all())):
         raise SingularSystemError("direct solve produced non-finite values")
     return u, q
@@ -476,17 +437,17 @@ def solve(fact: Factorization, rhs_scalar, rhs_flux=None):
 
 def flux(fact: Factorization, rhs_scalar):
     """The q that ``solve`` leaves out of a constant-weight solve."""
-    return _apply(fact, rhs_scalar, True)[1]
+    return _product(fact.system.operators.flux, _unknowns(fact, rhs_scalar))
 
 
-def _apply(fact: Factorization, rhs_scalar, with_flux):
+def _unknowns(fact: Factorization, rhs_scalar):
+    """x = [rhs_scalar; lambda_s; 0; 1] of a constant-weight solve."""
     ops = fact.system.operators
     nc = fact.system.num_cells
-    x = np.zeros(ops.scalar.shape[1])   # [rhs_scalar; lambda_s; 0; 1]
+    x = np.zeros(ops.scalar.shape[1])
     x[:nc], x[-1] = rhs_scalar, 1.0
     x[nc:-2] = fact.lu.solve(_product(ops.skeleton_rhs, x))
-    return (_product(ops.scalar, x),
-            _product(ops.flux, x) if with_flux else None)
+    return x
 
 
 def _product(matrix: sps.csr_matrix, x):
@@ -498,13 +459,13 @@ def _product(matrix: sps.csr_matrix, x):
     return out
 
 
-def _solve_hybrid(fact: Factorization, rhs_scalar, rhs_flux):
+def _solve_hybrid(fact: Factorization, rhs_scalar):
     """Solve the condensed hybridized system for the multipliers, then
     recover u and q cell by cell."""
     system = fact.system
     hybrid = system.forms.hybrid
     rho = np.zeros(hybrid.signs.shape)
-    rho.ravel()[hybrid.owner_slot] = rhs_flux
+    rho.ravel()[hybrid.owner_slot] = system.forms.dirichlet_functional
     condensed = _condense(system, _batch(np.append(rhs_scalar, 0.0)
                                          [hybrid.cells]), _batch(rho))
     boundary_rhs = condensed[-1][4:].ravel()
@@ -643,12 +604,3 @@ def _solve_operators(system: SaddleSystem) -> SolveOperators:
         csr(skeleton_rhs, skeleton_columns),
         csr(scalar, columns[hybrid.positions % nm]),
         csr(flux, columns[hybrid.owner_slot % nm]))
-
-
-def residual_norm(system: SaddleSystem, u, q, rhs_scalar, rhs_flux) -> float:
-    """Relative residual of the full block system for a candidate solution."""
-    rhs = np.concatenate([rhs_scalar, rhs_flux])
-    x = np.concatenate([u, q])
-    r = system.matrix @ x - rhs
-    denom = np.linalg.norm(rhs)
-    return float(np.linalg.norm(r) / (denom if denom > 0.0 else 1.0))

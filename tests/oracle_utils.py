@@ -2,10 +2,17 @@
 
 These deliberately avoid the package's own quadrature choices: the mass
 matrix oracle integrates with a 7-point degree-5 rule rather than the
-implementation's edge-midpoint rule.
+implementation's edge-midpoint rule.  The saddle-system oracles build
+the full block matrix and the dense skeleton matrix from an assembled
+system, and solve with any flux right-hand side.
 """
 
+from dataclasses import replace
+
 import numpy as np
+import scipy.sparse as sps
+
+from degenmfem.linear_system import assemble, factorize, flux, solve
 
 
 def degree5_triangle_rule():
@@ -43,3 +50,53 @@ def brute_force_flux_mass(mesh):
                 )
                 M[mesh.cell_edges[c, k], mesh.cell_edges[c, l]] += val
     return M
+
+
+def block_matrix(system):
+    """The full block matrix [[D, tau B], [-B^T, M]] of a saddle system."""
+    forms = system.forms
+    return sps.bmat(
+        [
+            [sps.diags(system.weights * forms.scalar_mass),
+             system.tau * forms.divergence],
+            [-forms.divergence.T, forms.flux_mass],
+        ],
+        format="csc",
+    )
+
+
+def residual_norm(system, u, q, rhs_scalar) -> float:
+    """Relative residual of the full block system for a candidate
+    solution; the flux right-hand side is the forms' Dirichlet
+    functional, as in every solve."""
+    rhs = np.concatenate([rhs_scalar, system.forms.dirichlet_functional])
+    r = block_matrix(system) @ np.concatenate([u, q]) - rhs
+    denom = np.linalg.norm(rhs)
+    return float(np.linalg.norm(r) / (denom if denom > 0.0 else 1.0))
+
+
+def skeleton_dense(system):
+    """The symmetric dense skeleton matrix, expanded from the entries of
+    its upper band (``reduced``) at their flat band indices."""
+    hybrid = system.forms.hybrid
+    nsk = hybrid.skeleton_edges.size
+    width = hybrid.bandwidth + 1
+    col = hybrid.band_slot // width
+    row = col - hybrid.bandwidth + hybrid.band_slot % width
+    dense = np.zeros((nsk, nsk))
+    dense[row, col] = system.reduced
+    dense[col, row] = system.reduced
+    return dense
+
+
+def solve_general_flux(forms, weights, tau, rhs_scalar, rhs_flux):
+    """Assemble, factorize and solve the block system with any flux
+    right-hand side: the solve takes the forms' Dirichlet functional, so
+    the system is assembled on forms that carry ``rhs_flux`` as theirs.
+    Returns the factorization and (u, q), q from ``flux`` for a constant
+    weight.
+    """
+    fact = factorize(assemble(replace(forms, dirichlet_functional=rhs_flux),
+                              weights, tau))
+    u, q = solve(fact, rhs_scalar)
+    return fact, u, flux(fact, rhs_scalar) if q is None else q
