@@ -29,20 +29,32 @@ lambda.  H is condensed further, in numpy and for all 2x2 macro squares
 at once: first the square diagonals, which share no cell (one pivot per
 square), then each macro's inner cross (four pivots).  The multipliers
 left are the skeleton, the interior edges on the macros' boundaries;
-their Schur complement is assembled from the macros' 8x8 blocks,
-straight into the entries of its upper band, whose places are fixed per
-mesh.  Macros cut by the domain's top or right side (odd n) are
-completed by phantom cells whose multipliers decouple.
+their Schur complement, the skeleton matrix, is stored once, as the
+macros' 8x8 Schur blocks.  Macros cut by the domain's top or right side
+(odd n) are completed by phantom cells whose multipliers decouple.
 
 The skeleton is numbered by edge midpoint, y then x, which gives a
-bandwidth of about 2n, and its matrix is factorized by LAPACK's band
-Cholesky (``pbtrf``) whatever the weight; each solve is a pair of band
-triangular solves (``pbtrs``).  An empty skeleton (n < 3) factorizes
-and solves as nothing.
+bandwidth of about 2n.  Its band Cholesky costs nsk (bandwidth + 1)^2,
+which grows as n^4, so past n = 32 the skeleton is first condensed on
+levels of merged blocks, nested dissection of the regular mesh (George
+1973): each level merges the blocks below 2x2, the macros first, and
+eliminates each merged block's inner cross densely, for all blocks at
+once (the Cholesky factors of the crosses, one block-diagonal band, then
+their Schur complements onto the blocks' boundaries).  Each level halves
+the skeleton left and keeps its bandwidth; levels are stacked while its
+band would cost more than ``LEVEL_WORK``: none up to n = 32, two at
+n = 64.  Odd block grids are completed by phantom blocks, identities,
+that decouple.  The skeleton left on the coarsest blocks' boundaries
+(the macros' when there is no level) is factorized by LAPACK's band
+Cholesky (``pbtrf``) whatever the weight, summed into the entries of its
+upper band, whose places are fixed per mesh.  A skeleton solve runs the
+levels forward, the pair of band triangular solves (``pbtrs``), then the
+levels back.  An empty skeleton (n < 3) factorizes and solves as
+nothing.
 
 The mesh-only operators of the reduction (``HybridOperators``, with the
-macro numbering ``MACRO_SIDES``) are built once per mesh and cached by
-the forms' ``hybrid``.
+macro numbering ``MACRO_SIDES`` and the ``CondensationLevel``s) are
+built once per mesh and cached by the forms' ``hybrid``.
 
 A solve takes rhs_scalar alone and one of two forms.  Newton's weights
 change every iteration, so its solve runs per call: condense the
@@ -50,8 +62,8 @@ right-hand side macro by macro, solve on the skeleton, recover the
 crosses, the diagonals and the cells.  A constant weight (the L-type
 schemes, one system for a whole run) gets that solve precomputed at
 assembly as sparse maps over x = [rhs_scalar; lambda_s; 0; 1]:
-lambda_s solves the skeleton system with right-hand side R x, u = S x
-and, only when ``flux`` asks for it, q = F x.
+lambda_s solves the skeleton system with right-hand side R x and u = S x;
+the solve returns x with u, and ``flux`` forms q = F x from it.
 The products call scipy's CSR kernel without the dispatch of ``@``,
 to the same bits.
 Each row has 17 entries, local to a macro: a skeleton edge's R row the
@@ -99,6 +111,63 @@ MACRO_SIDES = np.array([[4, 0, 2, 5],
                         [8, 1, 9, 2],
                         [0, 6, 3, 7],
                         [1, 11, 10, 3]])
+# The skeleton positions 4-11 of a macro, less 4, on its bottom, top,
+# left and right sides, each along its side.
+_MACRO_BOUNDARY_SIDES = MACRO_SIDES[[[0, 1], [2, 3], [0, 2], [1, 3]],
+                                    [[0], [1], [3], [2]]] - 4
+# The children of a level block, lower left, lower right, upper left and
+# upper right, list the groups of e positions their bottom, top, left and
+# right sides take in it: groups 0-3 are the cross (the horizontal's left
+# and right halves, then the vertical's lower and upper halves), groups
+# 4-11 the block's sides (bottom, top, left, right, two halves each).
+_CHILD_SIDES = np.array([[4, 0, 8, 2],
+                         [5, 1, 2, 10],
+                         [0, 6, 9, 3],
+                         [1, 7, 3, 11]])
+# A level is stacked while the band left would take more multiply-adds,
+# nsk (bandwidth + 1)^2, than this: at n = 64 a second level pays and a
+# third does not, and at n = 32 not even the first.
+LEVEL_WORK = 2.0e7
+
+_PBTRF, _PBTRS, _TBTRS = get_lapack_funcs(("pbtrf", "pbtrs", "tbtrs"),
+                                          dtype=np.float64)
+
+
+@dataclass(frozen=True)
+class CondensationLevel:
+    """One level of 2x2 block merging on the skeleton (nested dissection).
+
+    Each block of the level merges four children, blocks of the level
+    below (the macros on the first level), whose 4e boundary positions
+    list their bottom, top, left and right sides, e positions each, along
+    the side.  The merged block has 12e positions: its inner cross, 4e,
+    then its own boundary, 8e, in groups of e (``_CHILD_SIDES``).
+    ``children`` (num_blocks, 5) numbers each block's children, lower
+    left, lower right, upper left and upper right, in the grid below,
+    with that grid's size for a phantom past the top or right side, then
+    that size plus one, a zero block.  ``band_source`` (2, 16e^2),
+    ``coupling_source`` (32e^2) and ``schur_source`` (64e^2) index a
+    block's five children's Schur blocks, side by side: the two children
+    entries whose sum is each entry of its crosses' upper band (LAPACK
+    storage, column by column), and the child entry of each entry of the
+    cross's couplings to the boundary and of the boundary's own block.
+    ``cross`` (num_blocks, 4e) holds the numbers, in the skeleton below,
+    of each block's cross edges and ``boundary`` (num_blocks, 8e) those,
+    in this level's skeleton, of its boundary edges, each the skeleton's
+    size where there is no skeleton edge.  ``kept`` lists the skeleton
+    below's numbers of this level's skeleton, its blocks' boundary edges,
+    so it keeps their order, and ``slots[:, i]`` are the two flat
+    (num_blocks, 8e) indices of its edge i.
+    """
+
+    children: np.ndarray
+    cross: np.ndarray
+    boundary: np.ndarray
+    kept: np.ndarray
+    slots: np.ndarray
+    band_source: np.ndarray
+    coupling_source: np.ndarray
+    schur_source: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -131,19 +200,24 @@ class HybridOperators:
 
     The skeleton is the interior edges on the macros' boundaries;
     ``skeleton_edges`` lists them by edge midpoint, y then x, which keeps
-    a macro's eight skeleton edges within ``bandwidth`` (about 2n) of
-    each other.  Their condensed matrix is kept as the entries of its
-    upper band that the macros reach: entry k goes to the flat index
-    ``band_slot[k]`` (ascending) of LAPACK's upper band storage, a
-    Fortran-ordered (bandwidth + 1, num_skeleton) array.
+    a macro's eight skeleton edges within about 2n of each other.
     ``macro_multiplier[b, M]`` is the skeleton number of position 4 + b
     of macro M, or the number of skeleton edges if it has none, and
     ``skeleton_slots[:, i]`` the two flat (8, num_macros) indices of
-    skeleton edge i.  Each pair of skeleton positions of a macro whose
-    entry lies in the upper band adds the flat entry ``pair_slot[j]`` of
-    the upper triangles of the macros' (12, 12, num_macros) blocks to
-    band entry ``pair_pos[j]``.  ``owner_slot[E]`` is the slot of edge E
-    in its lowest-numbered cell.  ``minv`` is exactly symmetric, so
+    skeleton edge i.
+
+    ``levels`` holds the ``CondensationLevel``s stacked on the macros,
+    as many as leave a band of at most ``LEVEL_WORK`` multiply-adds: none
+    up to n = 32, two at n = 64.  The coarsest blocks (the macros when
+    there is no level) couple the edges left, the coarse skeleton, within
+    ``bandwidth`` of each other, so its matrix is a band: entry k goes to
+    the flat index ``band_slot[k]`` (ascending) of LAPACK's upper band
+    storage, a Fortran-ordered (bandwidth + 1, num_coarse) array.  Each
+    pair of skeleton positions of a coarsest block whose entry lies in
+    the upper band adds the flat entry ``pair_slot[j]`` of the upper
+    triangles of the blocks' (num_blocks, b, b) Schur complements to band
+    entry ``pair_pos[j]``.  ``owner_slot[E]`` is the slot of edge E in
+    its lowest-numbered cell.  ``minv`` is exactly symmetric, so
     ``minv[l]`` holds the columns l of the blocks.
     """
 
@@ -165,6 +239,7 @@ class HybridOperators:
     macro_multiplier: np.ndarray
     band_slot: np.ndarray
     bandwidth: int
+    levels: tuple
 
 
 def hybrid_operators(forms: AssembledForms) -> HybridOperators:
@@ -227,17 +302,27 @@ def hybrid_operators(forms: AssembledForms) -> HybridOperators:
     skeleton_slots = slots[np.argsort(
         slot_multiplier[slots], kind="stable")].reshape(nsk, 2).T
 
-    # Every pair of skeleton positions of a macro whose entry (row <= col)
-    # lies in the upper band adds the entry of the upper triangle of its
-    # block to that entry, at its index in LAPACK's upper band storage.
-    b = np.arange(4, 12)
-    upper = np.minimum.outer(b, b) * 12 + np.maximum.outer(b, b)
-    row = np.broadcast_to(macro_multiplier[None], (8, 8, nm)).ravel()
-    col = np.broadcast_to(macro_multiplier[:, None], (8, 8, nm)).ravel()
-    keep = (row <= col) & (col < nsk)
+    # Merge blocks 2x2, macros first, while the band left is costly.
+    levels, number = [], macro_multiplier.T
+    sides, side, size = _MACRO_BOUNDARY_SIDES, side, nsk
+    while size * (_bandwidth(number, size) + 1) ** 2 > LEVEL_WORK:
+        level, number, side = _merge(number, size, sides, side)
+        levels.append(level)
+        sides, size = np.arange(number.shape[1]).reshape(4, -1), level.kept.size
+
+    # Every pair of skeleton positions of a coarsest block whose entry
+    # (row <= col) lies in the upper band adds the entry of the upper
+    # triangle of its block to that entry, at its index in LAPACK's upper
+    # band storage.
+    nb, b = number.shape
+    p = np.arange(b)
+    upper = np.minimum.outer(p, p) * b + np.maximum.outer(p, p)
+    row = np.broadcast_to(number[:, None, :], (nb, b, b)).ravel()
+    col = np.broadcast_to(number[:, :, None], (nb, b, b)).ravel()
+    keep = (row <= col) & (col < size)
     row, col = row[keep], col[keep]
-    pair_slot = (upper[:, :, None] * nm + np.arange(nm)).ravel()[keep]
-    bandwidth = int(np.max(col - row, initial=0))
+    pair_slot = (np.arange(nb)[:, None, None] * b * b + upper).ravel()[keep]
+    bandwidth = _bandwidth(number, size)
     band_slot, pair_pos = np.unique(
         col * (bandwidth + 1) + bandwidth + row - col, return_inverse=True)
 
@@ -252,7 +337,73 @@ def hybrid_operators(forms: AssembledForms) -> HybridOperators:
               macro_multiplier, band_slot)
     for a in arrays:
         a.flags.writeable = False
-    return HybridOperators(*arrays, bandwidth)
+    return HybridOperators(*arrays, bandwidth, tuple(levels))
+
+
+def _bandwidth(number, size):
+    """The band of a skeleton of ``size`` edges that blocks with skeleton
+    numbers ``number`` (num_blocks, b; ``size`` for none) couple."""
+    valid = number < size
+    high = np.where(valid, number, -1).max(axis=1)
+    low = np.where(valid, number, size).min(axis=1)
+    return int(np.max(high - low, initial=0))
+
+
+def _merge(number, size, sides, side):
+    """Merge a side x side grid of blocks 2x2, given the numbers of their
+    boundary positions in a skeleton of ``size`` edges and their sides.
+    Returns the ``CondensationLevel``, the merged blocks' boundary numbers
+    in the skeleton left and the merged grid's side."""
+    e = sides.shape[1]
+    half = (side + 1) // 2
+    nb = half * half
+    block_i, block_j = np.arange(nb) % half, np.arange(nb) // half
+    child_i = 2 * block_i + np.array([0, 1, 0, 1])[:, None]
+    child_j = 2 * block_j + np.array([0, 0, 1, 1])[:, None]
+    children = np.where((child_i < side) & (child_j < side),
+                        child_j * side + child_i, side * side)
+    child_positions = np.empty((4, 4 * e), dtype=np.intp)
+    child_positions[:, sides] = _CHILD_SIDES[:, :, None] * e + np.arange(e)
+    # A cross edge is listed by both of its children, or by one when the
+    # other is a phantom (a row of ``size``, no edge).
+    padded = np.vstack([number, np.full(number.shape[1], size)])
+    merged = np.full((nb, 12 * e), size)
+    for child, pos in zip(children, child_positions):
+        merged[:, pos] = np.minimum(merged[:, pos], padded[child])
+    c = 4 * e
+    cross, boundary = merged[:, :c], merged[:, c:]
+    kept = np.unique(boundary[boundary < size])
+    renumber = np.full(size + 1, kept.size)
+    renumber[kept] = np.arange(kept.size)
+    boundary = renumber[boundary]
+    flat = boundary.ravel()
+    slots = np.flatnonzero(flat < kept.size)
+    slots = slots[np.argsort(flat[slots], kind="stable")].reshape(-1, 2).T
+
+    # Each entry of a merged block sums those of at most two children:
+    # indices into its children's Schur blocks, side by side and followed
+    # by a zero block, the same for every block.
+    width = 4 * e
+    entry = np.arange(width * width).reshape(width, width)
+    none = 4 * width * width
+    first = np.full((3 * width, 3 * width), none)
+    second = first.copy()
+    for q, pos in enumerate(child_positions):
+        grid = np.ix_(pos, pos)
+        free = first[grid] == none
+        second[grid] = np.where(free, second[grid], q * width * width + entry)
+        first[grid] = np.where(free, q * width * width + entry, first[grid])
+    # Band column j of a block's cross holds its entries (i, j), i <= j,
+    # in rows c - 1 + i - j, column by column.
+    i, j = np.arange(c) - c + 1 + np.arange(c)[:, None], np.arange(c)
+    band = np.array([np.where(i >= 0, a[np.maximum(i, 0), j], none).T.ravel()
+                     for a in (first, second)])
+    children = np.vstack([children, np.full(nb, side * side + 1)]).T
+    arrays = (children, cross, boundary, kept, slots.copy(), band,
+              first[:c, c:].ravel(), first[c:, c:].ravel())
+    for a in arrays:
+        a.flags.writeable = False
+    return CondensationLevel(*arrays), boundary, half
 
 
 @dataclass(frozen=True)
@@ -269,9 +420,9 @@ class SolveOperators:
 class SaddleSystem:
     """Immutable assembled system (right-hand sides supplied per solve).
 
-    ``reduced`` is the condensed hybridized matrix on the skeleton, which
-    is factorized, as the entries of its upper band at
-    ``HybridOperators.band_slot``, a read-only 1-D array; the rest
+    ``reduced`` (num_macros, 8, 8) is the condensed hybridized matrix on
+    the skeleton, the one stored form of it, as the macros' Schur blocks
+    on their skeleton positions 4-11 (read-only); the rest
     follows ``HybridOperators``' layout: ``den``
     is d_T |T| + tau beta_T by position (1 on phantoms), ``pivot``
     (4, num_macros) and ``coupling`` (4 sides, 4, num_macros) are each
@@ -298,37 +449,79 @@ class SaddleSystem:
         return self.forms.num_cells
 
 
-_PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+class SkeletonCholesky:
+    """The Cholesky factorization of the skeleton matrix A: the crosses
+    of each ``CondensationLevel``, then a band.
 
-
-class BandCholesky:
-    """The upper band Cholesky factor U of a symmetric positive definite
-    matrix A, in LAPACK's band storage: U^T U = A.
-
-    It has ``shape``, ``solve`` and the factors ``L`` and ``U``, sparse
-    matrices built on each access: the benchmark's tracer reads
-    ``lu.L.nnz + lu.U.nnz`` for the factor's size.
+    ``factors`` holds, per level, the upper Cholesky factors of its
+    blocks' crosses, one block-diagonal band in LAPACK's storage
+    (4e, 4e num_blocks), and W = U^{-T} C (num_blocks, 4e, 8e), C being
+    the crosses' couplings to the blocks' boundaries; ``band`` is the
+    upper band Cholesky factor of the coarse skeleton's matrix.  It has
+    ``shape``, ``solve`` and the factors ``L`` and ``U``, sparse matrices
+    with every stored nonzero entry, built on each access: row i of U is
+    the factor row whose pivot is skeleton edge i, so U^T U = A.  The
+    benchmark's tracer reads ``lu.L.nnz + lu.U.nnz`` for the factor's
+    size.
     """
 
-    def __init__(self, band: np.ndarray):
-        band.flags.writeable = False
-        self.band = band
-
-    @property
-    def shape(self):
-        return (self.band.shape[1], self.band.shape[1])
+    def __init__(self, levels, factors, band: np.ndarray, size: int):
+        for a in (band, *(a for factor in factors for a in factor)):
+            a.flags.writeable = False
+        self.levels, self.factors, self.band = levels, tuple(factors), band
+        self.shape = (size, size)
 
     @property
     def U(self) -> sps.csr_matrix:
-        return sps.dia_matrix((self.band[::-1], range(self.band.shape[0])),
-                              shape=self.shape).tocsr()
+        # Each level's factor rows in the skeleton numbers of its edges.
+        number = np.arange(self.shape[0])
+        rows, cols, vals = [], [], []
+        for level, (cross_u, w) in zip(self.levels, self.factors):
+            c = level.cross.shape[1]
+            cross = np.append(number, -1)[level.cross]
+            number = number[level.kept]
+            i, j = np.triu_indices(c)
+            rows += [cross[:, i], np.broadcast_to(cross[:, :, None], w.shape)]
+            cols += [cross[:, j], np.broadcast_to(np.append(number, -1)[
+                level.boundary][:, None], w.shape)]
+            vals += [cross_u.reshape(c, -1, c)[c - 1 + i - j, :, j].T, w]
+        width, size = self.band.shape
+        col = np.arange(size)
+        row = col + np.arange(1 - width, 1)[:, None]
+        rows.append(np.append(number, -1)[row])
+        cols.append(np.broadcast_to(number[col], row.shape))
+        vals.append(self.band)
+        rows, cols, vals = (np.concatenate([a.ravel() for a in parts])
+                            for parts in (rows, cols, vals))
+        keep = (rows >= 0) & (cols >= 0) & (vals != 0.0)
+        return sps.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                              shape=self.shape)
 
     @property
     def L(self) -> sps.csr_matrix:
         return self.U.T.tocsr()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return _PBTRS(self.band, rhs)[0]
+        """A^{-1} rhs: the levels forward, the band, the levels back."""
+        forward = []
+        for level, (cross_u, w) in zip(self.levels, self.factors):
+            y = _TBTRS(cross_u, np.append(rhs, 0.0)[level.cross].reshape(
+                -1, 1), trans="T")[0].reshape(level.cross.shape)
+            forward.append((rhs.size, y))
+            update = np.matmul(y[:, None], w).ravel()
+            first, second = level.slots
+            rhs = rhs[level.kept] - update[first] - update[second]
+        x = _PBTRS(self.band, rhs)[0]
+        for level, (cross_u, w), (size, y) in zip(
+                self.levels[::-1], self.factors[::-1], forward[::-1]):
+            boundary = np.append(x, 0.0)[level.boundary]
+            y -= np.matmul(w, boundary[:, :, None])[:, :, 0]
+            below = np.empty(size + 1)
+            below[level.kept] = x
+            below[level.cross] = _TBTRS(cross_u, y.reshape(-1, 1))[0].reshape(
+                y.shape)
+            x = below[:-1]
+        return x
 
 
 @dataclass(frozen=True)
@@ -336,7 +529,7 @@ class Factorization:
     """The factors of a system's reduced matrix, which they stay tied
     to.  ``lu`` is the name the benchmark's tracer reads."""
 
-    lu: BandCholesky = field(repr=False)
+    lu: SkeletonCholesky = field(repr=False)
     system: SaddleSystem = field(repr=False)
 
 
@@ -388,8 +581,7 @@ def assemble(forms: AssembledForms, weights, tau: float) -> SaddleSystem:
     for k, cols in enumerate(_CROSS_COUPLED):
         row = macro[k, cols]
         macro[cols, cols] -= (row / macro[k, k])[:, None] * row[None]
-    reduced = np.bincount(hybrid.pair_pos, minlength=hybrid.band_slot.size,
-                          weights=macro.ravel()[hybrid.pair_slot])
+    reduced = macro[4:, 4:].transpose(2, 0, 1).copy()
     cross_pivot = macro[range(4), range(4)]
     cross_rows = macro[:4] / cross_pivot[:, None]
     coupling = coupling.copy()
@@ -403,22 +595,62 @@ def assemble(forms: AssembledForms, weights, tau: float) -> SaddleSystem:
 
 
 def factorize(system: SaddleSystem) -> Factorization:
-    """Factorize the reduced matrix by band Cholesky."""
+    """Factorize the reduced matrix: the crosses of each condensation
+    level, then the band Cholesky of the coarse skeleton."""
     hybrid = system.forms.hybrid
-    nsk = hybrid.skeleton_edges.size
-    band = np.zeros((hybrid.bandwidth + 1) * nsk)
-    band[hybrid.band_slot] = system.reduced
-    band, info = _PBTRF(band.reshape(hybrid.bandwidth + 1, nsk, order="F"),
-                        overwrite_ab=1)
+    blocks, factors = system.reduced, []
+    for level in hybrid.levels:
+        blocks, factor = _condense_level(level, blocks)
+        factors.append(factor)
+    size = hybrid.bandwidth + 1
+    nsk = (hybrid.levels[-1].kept.size if hybrid.levels
+           else hybrid.skeleton_edges.size)
+    band = np.zeros(size * nsk)
+    band[hybrid.band_slot] = np.bincount(
+        hybrid.pair_pos, minlength=hybrid.band_slot.size,
+        weights=blocks.ravel()[hybrid.pair_slot])
+    band, info = _PBTRF(band.reshape(size, nsk, order="F"), overwrite_ab=1)
     if info != 0:
         raise SingularSystemError(f"band Cholesky failed at pivot {info}")
-    return Factorization(BandCholesky(band), system)
+    return Factorization(SkeletonCholesky(
+        hybrid.levels, factors, band, hybrid.skeleton_edges.size), system)
+
+
+def _condense_level(level: CondensationLevel, blocks):
+    """Merge the Schur blocks (num_children, 4e, 4e) of the level below
+    2x2 and eliminate each merged block's cross: returns the merged
+    blocks' Schur complements on their boundaries, (num_blocks, 8e, 8e),
+    and the level's factor (the crosses' band factor and W)."""
+    nb, c = level.cross.shape
+    width = blocks.shape[1]
+    # A phantom child is decoupled, an identity block, and the last
+    # child of every block is a zero block.
+    padded = np.concatenate([blocks, np.eye(width)[None],
+                             np.zeros((1, width, width))])
+    values = padded[level.children].reshape(nb, -1)
+    # take keeps each block's row contiguous, where values[:, index]
+    # would interleave the blocks.
+    band = np.take(values, level.band_source[0], axis=1)
+    band += np.take(values, level.band_source[1], axis=1)
+    band, info = _PBTRF(band.reshape(nb * c, c).T, overwrite_ab=1)
+    if info != 0:
+        raise SingularSystemError(f"cross Cholesky failed at pivot {info}")
+    # W = U^{-T} C, with U^{-1} solved for an identity per block.
+    inverse = _TBTRS(band, np.tile(np.eye(c), (nb, 1)))[0].reshape(nb, c, c)
+    w = np.matmul(inverse.transpose(0, 2, 1).copy(), np.take(
+        values, level.coupling_source, axis=1).reshape(nb, c, -1))
+    schur = np.take(values, level.schur_source, axis=1).reshape(nb, 2 * c,
+                                                                2 * c)
+    schur -= np.matmul(w.transpose(0, 2, 1).copy(), w)
+    return schur, (band, w)
 
 
 def solve(fact: Factorization, rhs_scalar):
     """Solve for (u, q) given the per-cell right-hand side, with the
     forms' Dirichlet functional on the flux side.  A constant-weight
-    system forms u alone: q is None and ``flux`` gives it.
+    system forms u alone and returns, in q's place, the unknowns
+    x = [rhs_scalar; lambda_s; 0; 1] of its solve, from which ``flux``
+    forms q.
     """
     system = fact.system
     nc = system.num_cells
@@ -427,27 +659,20 @@ def solve(fact: Factorization, rhs_scalar):
         raise ValueError(f"rhs_scalar must have shape ({nc},)")
     ops = system.operators
     if ops is not None:
-        u, q = _product(ops.scalar, _unknowns(fact, rhs_scalar)), None
+        x = np.zeros(ops.scalar.shape[1])
+        x[:nc], x[-1] = rhs_scalar, 1.0
+        x[nc:-2] = fact.lu.solve(_product(ops.skeleton_rhs, x))
+        u, q = _product(ops.scalar, x), x
     else:
         u, q = _solve_hybrid(fact, rhs_scalar)
-    if not (np.isfinite(u).all() and (q is None or np.isfinite(q).all())):
+    if not (np.isfinite(u).all() and (ops is not None or np.isfinite(q).all())):
         raise SingularSystemError("direct solve produced non-finite values")
     return u, q
 
 
-def flux(fact: Factorization, rhs_scalar):
-    """The q that ``solve`` leaves out of a constant-weight solve."""
-    return _product(fact.system.operators.flux, _unknowns(fact, rhs_scalar))
-
-
-def _unknowns(fact: Factorization, rhs_scalar):
-    """x = [rhs_scalar; lambda_s; 0; 1] of a constant-weight solve."""
-    ops = fact.system.operators
-    nc = fact.system.num_cells
-    x = np.zeros(ops.scalar.shape[1])
-    x[:nc], x[-1] = rhs_scalar, 1.0
-    x[nc:-2] = fact.lu.solve(_product(ops.skeleton_rhs, x))
-    return x
+def flux(fact: Factorization, x):
+    """q = F x from the unknowns x a constant-weight ``solve`` returns."""
+    return _product(fact.system.operators.flux, x)
 
 
 def _product(matrix: sps.csr_matrix, x):

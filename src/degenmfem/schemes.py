@@ -24,11 +24,12 @@ per-cell linearization weight:
 With a constant weight one matrix factorization, with its precomputed
 solve operators, serves all iterations of all time steps; Newton's
 weights change, so it reassembles and refactorizes every iteration, and
-its solve forms q with u.  A constant-weight solve forms u alone, and
-``linear_system.flux`` forms q from the same right-hand side, to the
-same bits, in three cases only: every iteration when a flux reference
-records its error, the iterations of the increment rule's screen band
-(below), and once for the final iterate.  The source functional
+its solve forms q with u.  A constant-weight solve forms u alone and
+keeps the unknowns x of its solve, and ``linear_system.flux`` forms q
+from x, a product and no second solve, in three cases only: every
+iteration when a flux reference records its error, the iterations of
+the increment rule's screen band (below), and once for the final
+iterate.  The source functional
 <f, w> is carried on the right-hand side of every scheme.  ``march`` is
 the one time-step loop: the series driver and the benchmark's reference
 stage both call it, and it holds the factorizations the constant-weight
@@ -219,9 +220,10 @@ class _Stopping:
     """Tracks errors/increments and decides convergence and divergence.
 
     ``fact`` is the factorization of a constant-weight step, whose solve
-    leaves q out: the tracker forms q by ``flux`` only where a decision
-    or a record reads it, and takes the increments of the other
-    iterations from cell vectors.  Newton (``fact`` None) passes every q.
+    leaves q out and returns its unknowns x instead: the tracker forms q
+    from x by ``flux`` only where a decision or a record reads it, and
+    takes the increments of the other iterations from cell vectors.
+    Newton (``fact`` None) passes every q.
     """
 
     def __init__(self, forms, criterion, fact=None):
@@ -236,9 +238,9 @@ class _Stopping:
         )
         if criterion.mode == "against_reference" and criterion.reference is None:
             raise ValueError("against_reference stopping needs a reference field")
-        # The last recorded iterate, its right-hand side and its flux,
-        # None until formed.
-        self.u = self.rhs = self.q = None
+        # The last recorded iterate, the unknowns x of its constant-weight
+        # solve and its flux, None until formed.
+        self.u = self.x = self.q = None
 
     def record_initial(self, u):
         self.u = u
@@ -249,15 +251,20 @@ class _Stopping:
     def last_flux(self):
         """q of the last recorded iterate, formed once when left out."""
         if self.q is None:
-            self.q = flux(self.fact, self.rhs)
+            self.q = flux(self.fact, self.x)
         return self.q
 
-    def update(self, u_new, q_new, rhs_new):
+    def update(self, u_new, q_new):
         """Returns (converged, diverged) after recording the iterate
-        (u_new, q_new) solved from rhs_new; q_new is None for a constant
-        weight."""
-        u_old, rhs_old, q_old = self.u, self.rhs, self.q
-        self.u, self.rhs, self.q = u_new, rhs_new, q_new
+        (u_new, q_new); for a constant weight q_new is the unknowns x of
+        its solve, whose first num_cells entries are its right-hand side
+        (see ``linear_system.solve``)."""
+        u_old, x_old, q_old = self.u, self.x, self.q
+        if self.fact is None:
+            self.q = q_new
+        else:
+            self.x, self.q = q_new, None
+        self.u = u_new
         if self.crit.mode == "against_reference":
             err = l2_norm_scalar(self.mesh, u_new - self.crit.reference)
             self.error_history.append(err)
@@ -270,12 +277,14 @@ class _Stopping:
 
         du_vec = u_new - u_old
         du = l2_norm_scalar(self.mesh, du_vec)
-        if rhs_old is None:
+        if x_old is None and q_old is None:
             # No previous flux yet; increments start at the second solve.
             return False, not np.all(np.isfinite(u_new))
         tol = self.crit.tol
         if self.fact is not None:
-            abs_sum = du + self._cheap_dq(du_vec, du, rhs_new - rhs_old)
+            nc = u_new.size
+            abs_sum = du + self._cheap_dq(du_vec, du,
+                                          self.x[:nc] - x_old[:nc])
             limit = DIVERGENCE_THRESHOLD
             if (math.isfinite(abs_sum)
                     and abs_sum >= tol * (1.0 + SCREEN_MARGIN)
@@ -283,7 +292,7 @@ class _Stopping:
                 # Far from both thresholds the cheap sum decides.
                 self.error_history.append(abs_sum)
                 return False, abs_sum > limit
-            q_old = q_old if q_old is not None else flux(self.fact, rhs_old)
+            q_old = q_old if q_old is not None else flux(self.fact, x_old)
             q_new = self.last_flux()
         dq = l2_norm_flux(self.forms, q_new - q_old)
         abs_sum = du + dq
@@ -359,7 +368,7 @@ def linearized_iterate(forms, config, storage_prev, u_init, f_n, fact=None):
         except SingularSystemError:
             reason = "singular system"
             break
-        converged, diverged = tracker.update(u_new, q_new, rhs_scalar)
+        converged, diverged = tracker.update(u_new, q_new)
         u = u_new
         if diverged:
             reason = "divergence"
@@ -367,7 +376,7 @@ def linearized_iterate(forms, config, storage_prev, u_init, f_n, fact=None):
         if converged:
             break
     # A step whose first solve failed keeps a zero flux.
-    q = (np.zeros(forms.num_edges) if tracker.rhs is None
+    q = (np.zeros(forms.num_edges) if tracker.x is None and tracker.q is None
          else tracker.last_flux())
 
     return u, q, IterationReport(

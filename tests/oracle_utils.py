@@ -3,8 +3,8 @@
 These deliberately avoid the package's own quadrature choices: the mass
 matrix oracle integrates with a 7-point degree-5 rule rather than the
 implementation's edge-midpoint rule.  The saddle-system oracles build
-the full block matrix and the dense skeleton matrix from an assembled
-system, and solve with any flux right-hand side.
+the full block matrix and the skeleton matrix from an assembled system,
+and solve with any flux right-hand side.
 """
 
 from dataclasses import replace
@@ -75,18 +75,23 @@ def residual_norm(system, u, q, rhs_scalar) -> float:
     return float(np.linalg.norm(r) / (denom if denom > 0.0 else 1.0))
 
 
-def skeleton_dense(system):
-    """The symmetric dense skeleton matrix, expanded from the entries of
-    its upper band (``reduced``) at their flat band indices."""
+def skeleton_matrix(system):
+    """The symmetric skeleton matrix, sparse, summed from the upper
+    triangles of the macros' Schur blocks (``reduced``) at their skeleton
+    numbers."""
     hybrid = system.forms.hybrid
     nsk = hybrid.skeleton_edges.size
-    width = hybrid.bandwidth + 1
-    col = hybrid.band_slot // width
-    row = col - hybrid.bandwidth + hybrid.band_slot % width
-    dense = np.zeros((nsk, nsk))
-    dense[row, col] = system.reduced
-    dense[col, row] = system.reduced
-    return dense
+    number = hybrid.macro_multiplier.T
+    a, b = np.triu_indices(number.shape[1])
+    rows, cols = number[:, a].ravel(), number[:, b].ravel()
+    values = system.reduced[:, a, b].ravel()
+    keep = (rows < nsk) & (cols < nsk)
+    rows, cols, values = rows[keep], cols[keep], values[keep]
+    off = rows != cols
+    return sps.coo_matrix(
+        (np.append(values, values[off]),
+         (np.append(rows, cols[off]), np.append(cols, rows[off]))),
+        shape=(nsk, nsk)).tocsr()
 
 
 def solve_general_flux(forms, weights, tau, rhs_scalar, rhs_flux):
@@ -98,5 +103,11 @@ def solve_general_flux(forms, weights, tau, rhs_scalar, rhs_flux):
     """
     fact = factorize(assemble(replace(forms, dirichlet_functional=rhs_flux),
                               weights, tau))
+    return (fact, *solve_with_flux(fact, rhs_scalar))
+
+
+def solve_with_flux(fact, rhs_scalar):
+    """(u, q) of a solve, q formed by ``flux`` from the unknowns a
+    constant-weight solve returns in its place."""
     u, q = solve(fact, rhs_scalar)
-    return fact, u, flux(fact, rhs_scalar) if q is None else q
+    return u, q if fact.system.operators is None else flux(fact, q)

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -286,3 +287,32 @@ def test_render_summary_layout():
     assert "{17,24}" in text
     assert "{1.7,1.2}" in text
     assert "{nc,nc}" in text
+
+
+def test_newton_n64_series_matches_benchmark_record(monkeypatch):
+    # The benchmark's newton-n64 workload, n = 64 Newton at tau = 0.05,
+    # the one tier-1 run of Newton past n = 32, where the skeleton is
+    # condensed on levels before its band Cholesky: its ten steps pass
+    # the benchmark's own check against its record (flags equal,
+    # discretization errors within 1e-8, mass balances within 1e-9), with
+    # the recorded number of factorizations.
+    from pathlib import Path
+
+    from degenmfem.fem import project_scalar
+
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    import workloads
+
+    record = json.loads(workloads.EXPECTED_PATH.read_text())["newton-n64"]
+    factorize = schemes.factorize
+    calls = []
+    monkeypatch.setattr(schemes, "factorize",
+                        lambda system: calls.append(1) or factorize(system))
+    mesh = build_structured_unit_square(64)
+    ops = []
+    workloads.run_newton_n64(ops, mesh,
+                             assemble_forms(mesh, MSOL.boundary_value),
+                             project_scalar(mesh, MSOL.initial))
+    assert workloads.check_ops(record["ops"], ops) == []
+    assert len(calls) == record["counts"]["linear_system.factorizations"]

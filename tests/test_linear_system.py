@@ -27,8 +27,9 @@ from degenmfem.schemes import SchemeConfig, StoppingCriterion, hl_iterate
 from oracle_utils import (
     block_matrix,
     residual_norm,
-    skeleton_dense,
+    skeleton_matrix,
     solve_general_flux,
+    solve_with_flux,
 )
 
 
@@ -81,8 +82,9 @@ def test_zero_rhs_gives_zero(forms2):
     assert not forms2.dirichlet_functional.any()
     fact = factorize(assemble(forms2, 1.0, 1.0))
     zero = np.zeros(forms2.num_cells)
-    np.testing.assert_array_equal(solve(fact, zero)[0], 0.0)
-    np.testing.assert_array_equal(flux(fact, zero), 0.0)
+    u, x = solve(fact, zero)
+    np.testing.assert_array_equal(u, 0.0)
+    np.testing.assert_array_equal(flux(fact, x), 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -109,7 +111,7 @@ def test_matches_dense_oracle(forms1):
     rhs_s = forms1.scalar_mass.copy()
     rhs_f = np.zeros(forms1.num_edges)
     np.testing.assert_array_equal(forms1.dirichlet_functional, rhs_f)
-    u, q = solve(fact, rhs_s)[0], flux(fact, rhs_s)
+    u, q = solve_with_flux(fact, rhs_s)
     dense = np.linalg.solve(block_matrix(system).toarray(),
                             np.concatenate([rhs_s, rhs_f]))
     np.testing.assert_allclose(np.concatenate([u, q]), dense, atol=1e-12)
@@ -190,23 +192,29 @@ def test_operator_solve_matches_dense_oracle(n, monkeypatch):
     monkeypatch.setattr(linear_system, "_solve_hybrid", per_call)
     rhs_s = rng.normal(size=forms.num_cells)
     rhs_f = forms.dirichlet_functional
-    # Only u is formed; ``flux`` gives q.
-    u, no_flux = solve(fact, rhs_s)
-    assert no_flux is None
-    q = flux(fact, rhs_s)
+    # Only u is formed; ``flux`` gives q from the unknowns
+    # x = [rhs_s; lambda_s; 0; 1] the solve returns in its place.
+    u, x = solve(fact, rhs_s)
+    nc, nsk = forms.num_cells, forms.hybrid.skeleton_edges.size
+    assert x.shape == (nc + nsk + 2,)
+    np.testing.assert_array_equal(x[:nc], rhs_s)
+    np.testing.assert_array_equal(x[-2:], [0.0, 1.0])
+    q = flux(fact, x)
     assert residual_norm(system, u, q, rhs_s) < 1e-10
     dense = np.linalg.solve(block_matrix(system).toarray(),
                             np.concatenate([rhs_s, rhs_f]))
     np.testing.assert_allclose(u, dense[: forms.num_cells], atol=1e-9)
     np.testing.assert_allclose(q, dense[forms.num_cells:], atol=1e-9)
     # Repeated solves give the same bits.
-    np.testing.assert_array_equal(solve(fact, rhs_s)[0], u)
-    np.testing.assert_array_equal(flux(fact, rhs_s), q)
+    again = solve(fact, rhs_s)
+    np.testing.assert_array_equal(again[0], u)
+    np.testing.assert_array_equal(again[1], x)
+    np.testing.assert_array_equal(flux(fact, again[1]), q)
 
 
 def test_hybrid_pattern_does_not_depend_on_dry_cells():
-    # The skeleton matrix is stored as the entries of its upper band at
-    # the mesh's band slots, whichever cells are dry.
+    # The skeleton matrix is stored as the macros' 8x8 Schur blocks,
+    # whichever cells are dry.
     forms = assemble_forms(build_structured_unit_square(6))
     rng = np.random.default_rng(4)
     matrices = []
@@ -215,14 +223,15 @@ def test_hybrid_pattern_does_not_depend_on_dry_cells():
         weights[rng.random(forms.num_cells) < 0.5] = 0.0
         matrices.append(assemble(forms, weights, 0.05).reduced)
     first, second = matrices
-    assert first.shape == second.shape == (forms.hybrid.band_slot.size,)
+    num_macros = forms.hybrid.macro_multiplier.shape[1]
+    assert first.shape == second.shape == (num_macros, 8, 8)
     assert not np.array_equal(first, second)
 
 
 def test_hybrid_matrix_is_symmetric_positive_definite():
     forms = assemble_forms(build_structured_unit_square(8))
-    matrix = skeleton_dense(assemble(forms, _newton_weights(forms, 1e-3),
-                                     0.05))
+    matrix = skeleton_matrix(assemble(forms, _newton_weights(forms, 1e-3),
+                                      0.05)).toarray()
     np.testing.assert_array_equal(matrix, matrix.T)
     np.linalg.cholesky(matrix)
 
@@ -233,20 +242,25 @@ def test_hybrid_matrix_is_symmetric_positive_definite():
     (64, 3_968, 127),
 ])
 def test_skeleton_band_for_every_weight(n, size, bandwidth):
-    # The skeleton, numbered row by row, is factorized as one band,
-    # whether the weight is Newton's or a constant L; only a constant L
-    # gets solve operators.
+    # The skeleton, numbered row by row, is factorized the same way
+    # whether the weight is Newton's or a constant L: up to n = 32 as one
+    # band, at n = 64 by two condensation levels and the band of the 896
+    # edges left.  Only a constant L gets solve operators.
+    levels, coarse = {64: (2, 896)}.get(n, (0, size))
     forms = assemble_forms(build_structured_unit_square(n))
+    assert len(forms.hybrid.levels) == levels
     assert forms.hybrid.bandwidth == bandwidth
     newton = assemble(forms, _newton_weights(forms, 1e-4), 0.05)
     constant = assemble(forms, 84.0, 0.05)
     assert newton.operators is None
+    num_macros = forms.hybrid.macro_multiplier.shape[1]
     for system in (newton, constant):
-        assert system.reduced.shape == forms.hybrid.band_slot.shape
+        assert system.reduced.shape == (num_macros, 8, 8)
         assert not system.reduced.flags.writeable
         lu = factorize(system).lu
+        assert len(lu.factors) == levels
         assert lu.shape == (size, size)
-        assert lu.band.shape == (bandwidth + 1, size)
+        assert lu.band.shape == (bandwidth + 1, coarse)
 
 
 def _macro_columns(forms):
@@ -318,8 +332,8 @@ def test_operator_rows_are_fixed_width(n):
 ])
 def test_band_solve_matches_dense_oracle(n, newton):
     # The band factor against dense elimination on the full block matrix.
-    # A constant weight solves through the precomputed operators (u
-    # alone, ``flux`` for q), and its per-call solve matches them;
+    # A constant weight solves through the precomputed operators (u and
+    # the unknowns x, ``flux`` for q), and its per-call solve matches them;
     # Newton's weights, exact zeros included, solve per call.  Another
     # flux right-hand side is the Dirichlet functional of other forms.
     # n = 1 and 2 have no skeleton, odd n has phantom cells.
@@ -332,7 +346,8 @@ def test_band_solve_matches_dense_oracle(n, newton):
     assert band.shape[0] == _num_skeleton(n)
     # U^T U is the skeleton matrix, in the skeleton's own numbering.
     np.testing.assert_allclose((band.L @ band.U).toarray(),
-                               skeleton_dense(system), rtol=0, atol=1e-12)
+                               skeleton_matrix(system).toarray(), rtol=0,
+                               atol=1e-12)
     rhs_s = rng.normal(size=forms.num_cells)
     rhs_f = rng.normal(size=forms.num_edges)
     dirichlet = forms.dirichlet_functional
@@ -341,8 +356,7 @@ def test_band_solve_matches_dense_oracle(n, newton):
         np.concatenate([rhs_s, dirichlet]), np.concatenate([rhs_s, rhs_f])]))
     u, q = solve(fact, rhs_s)
     if not newton:
-        assert q is None
-        q = flux(fact, rhs_s)
+        q = flux(fact, q)
         per_call = linear_system._solve_hybrid(fact, rhs_s)
         np.testing.assert_allclose(per_call[0], dense[:nc, 0], atol=1e-9)
         np.testing.assert_allclose(per_call[1], dense[nc:, 0], atol=1e-9)
@@ -352,10 +366,9 @@ def test_band_solve_matches_dense_oracle(n, newton):
     np.testing.assert_allclose(u_f, dense[:nc, 1], atol=1e-9)
     np.testing.assert_allclose(q_f, dense[nc:, 1], atol=1e-9)
     for f, expected in ((fact, (u, q)), (fact_f, (u_f, q_f))):
-        again = solve(f, rhs_s)
+        again = solve_with_flux(f, rhs_s)
         np.testing.assert_array_equal(again[0], expected[0])
-        np.testing.assert_array_equal(
-            flux(f, rhs_s) if again[1] is None else again[1], expected[1])
+        np.testing.assert_array_equal(again[1], expected[1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 11, 32])
@@ -372,8 +385,10 @@ def test_operator_products_are_scipys(n):
     x = np.zeros(ops.scalar.shape[1])
     x[:nc], x[-1] = rhs_s, 1.0
     x[nc:-2] = fact.lu.solve(ops.skeleton_rhs @ x)
-    assert solve(fact, rhs_s)[0].tobytes() == (ops.scalar @ x).tobytes()
-    assert flux(fact, rhs_s).tobytes() == (ops.flux @ x).tobytes()
+    u, unknowns = solve(fact, rhs_s)
+    assert unknowns.tobytes() == x.tobytes()
+    assert u.tobytes() == (ops.scalar @ x).tobytes()
+    assert flux(fact, unknowns).tobytes() == (ops.flux @ x).tobytes()
 
 
 def test_band_cholesky_rejects_indefinite_matrix():
@@ -385,6 +400,70 @@ def test_band_cholesky_rejects_indefinite_matrix():
         negated = replace(system, reduced=-system.reduced)
         with pytest.raises(SingularSystemError):
             factorize(negated)
+
+
+def test_levels_start_past_n_32():
+    # The band keeps every mesh up to n = 32 (and its bits); n = 64
+    # condenses two levels.
+    for n in range(1, 33):
+        assert assemble_forms(build_structured_unit_square(n)).hybrid.levels \
+            == ()
+    assert len(assemble_forms(build_structured_unit_square(64)).hybrid
+               .levels) == 2
+
+
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("kind", ["newton", "random", "constant"])
+def test_level_solve_residuals(n, kind):
+    # Past n = 32 the skeleton is condensed on levels of merged blocks
+    # before its band Cholesky; n = 65 pads odd block grids with
+    # phantoms.  Newton's weights have dry cells, the random ones zeros.
+    forms = assemble_forms(build_structured_unit_square(n), -0.5)
+    rng = np.random.default_rng(90 + n)
+    if kind == "newton":
+        weights = _newton_weights(forms, 1e-4)
+    elif kind == "random":
+        weights = rng.uniform(0.0, 3.0, size=forms.num_cells)
+        weights[rng.random(forms.num_cells) < 0.3] = 0.0
+    else:
+        weights = 84.0
+    system = assemble(forms, weights, 0.05)
+    fact = factorize(system)
+    assert len(fact.lu.factors) == 2
+    # U^T U is the skeleton matrix, row i of U the factor row whose pivot
+    # is skeleton edge i.
+    skeleton = skeleton_matrix(system)
+    assert abs(fact.lu.L @ fact.lu.U - skeleton).max() \
+        < 1e-12 * abs(skeleton).max()
+    rhs_s = rng.normal(size=forms.num_cells)
+    u, q = solve_with_flux(fact, rhs_s)
+    assert residual_norm(system, u, q, rhs_s) < 1e-10
+    if kind == "constant":
+        per_call = linear_system._solve_hybrid(fact, rhs_s)
+        assert residual_norm(system, *per_call, rhs_s) < 1e-10
+    again = solve_with_flux(factorize(system), rhs_s)
+    np.testing.assert_array_equal(again[0], u)
+    np.testing.assert_array_equal(again[1], q)
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_level_factorization_rejects_indefinite_matrix(n):
+    # A negated matrix fails in a cross Cholesky of the first level; one
+    # whose coarse skeleton alone has negative diagonal entries passes
+    # the crosses and fails in the band Cholesky.
+    forms = assemble_forms(build_structured_unit_square(n))
+    hybrid = forms.hybrid
+    system = assemble(forms, _newton_weights(forms, 1e-4), 0.05)
+    with pytest.raises(SingularSystemError, match="cross"):
+        factorize(replace(system, reduced=-system.reduced))
+    coarse = np.arange(hybrid.skeleton_edges.size)
+    for level in hybrid.levels:
+        coarse = coarse[level.kept]
+    macro, position = np.nonzero(np.isin(hybrid.macro_multiplier.T, coarse))
+    reduced = system.reduced.copy()
+    reduced[macro, position, position] = -1e6
+    with pytest.raises(SingularSystemError, match="band"):
+        factorize(replace(system, reduced=reduced))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 11, 32])
@@ -472,8 +551,8 @@ def test_condensed_matrix_is_schur_complement_of_hybridized(n, constant):
     schur = (matrix[np.ix_(keep, keep)] - matrix[np.ix_(keep, drop)]
              @ np.linalg.solve(matrix[np.ix_(drop, drop)],
                                matrix[np.ix_(drop, keep)]))
-    np.testing.assert_allclose(skeleton_dense(fact.system), schur, rtol=0,
-                               atol=1e-12 * np.abs(schur).max())
+    np.testing.assert_allclose(skeleton_matrix(fact.system).toarray(), schur,
+                               rtol=0, atol=1e-12 * np.abs(schur).max())
     u_ref, q_ref = solve_with(rhs_s, rhs_f)
     np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(q, q_ref, rtol=0, atol=1e-12)
@@ -527,7 +606,7 @@ def test_repeated_solves_bit_identical(forms2):
     rhs_s = rng.normal(size=forms2.num_cells)
     rhs_f = rng.normal(size=forms2.num_edges)
     fact, u1, q1 = solve_general_flux(forms2, 0.7, 0.25, rhs_s, rhs_f)
-    u2, q2 = solve(fact, rhs_s)[0], flux(fact, rhs_s)
+    u2, q2 = solve_with_flux(fact, rhs_s)
     assert np.array_equal(u1, u2)
     assert np.array_equal(q1, q2)
 
@@ -567,7 +646,7 @@ def test_discrete_integration_by_parts():
     fact = factorize(assemble(forms, 2.0, 0.3))
     rng = np.random.default_rng(8)
     rhs_s = rng.normal(size=forms.num_cells)
-    u, q = solve(fact, rhs_s)[0], flux(fact, rhs_s)
+    u, q = solve_with_flux(fact, rhs_s)
     identity = (forms.flux_mass @ q - forms.divergence.T @ u
                 - forms.dirichlet_functional)
     assert np.abs(identity).max() < 1e-11

@@ -198,17 +198,21 @@ def _eager_rule(cheap):
     screen and the lazy relative norms.  A constant weight's increments
     from cell vectors, as the screen forms them, go to ``cheap``."""
 
-    def update(self, u_new, q_new, rhs_new):
-        if q_new is None:
-            q_new = schemes.flux(self.fact, rhs_new)
-        u_old, q_old, rhs_old = self.u, self.q, self.rhs
-        self.u, self.q, self.rhs = u_new, q_new, rhs_new
+    def update(self, u_new, q_new):
+        # A constant weight's solve returns its unknowns x in q's place;
+        # its right-hand side is x[:num_cells].
+        x_old, x_new = self.x, q_new
+        if self.fact is not None:
+            q_new = schemes.flux(self.fact, x_new)
+            self.x = x_new
+        u_old, q_old = self.u, self.q
+        self.u, self.q = u_new, q_new
         du = l2_norm_scalar(self.mesh, u_new - u_old)
         if q_old is None:
             return False, not np.all(np.isfinite(u_new))
         if self.fact is not None:
-            system = self.fact.system
-            energy = ((u_new - u_old) @ (rhs_new - rhs_old)
+            system, nc = self.fact.system, u_new.size
+            energy = ((u_new - u_old) @ (x_new[:nc] - x_old[:nc])
                       - system.weights[0] * du * du) / system.tau
             cheap.append(du + np.sqrt(max(energy, 0.0)))
         dq = schemes.l2_norm_flux(self.forms, q_new - q_old)
@@ -293,10 +297,12 @@ def test_flux_increment_from_cell_vectors(n):
     fact = factorize(assemble(forms, big_l, tau))
     areas = forms.scalar_mass
     rhs_old, rhs_new = areas * rng.normal(size=(2, forms.num_cells))
-    (u_old, no_flux), (u_new, _) = (schemes.solve(fact, r)
-                                    for r in (rhs_old, rhs_new))
-    assert no_flux is None
-    q_old, q_new = (schemes.flux(fact, r) for r in (rhs_old, rhs_new))
+    (u_old, x_old), (u_new, x_new) = (schemes.solve(fact, r)
+                                      for r in (rhs_old, rhs_new))
+    # The solve returns its unknowns x = [rhs; lambda_s; 0; 1] in q's
+    # place, and ``flux`` forms q from them.
+    np.testing.assert_array_equal(x_new[:forms.num_cells], rhs_new)
+    q_old, q_new = (schemes.flux(fact, x) for x in (x_old, x_new))
     np.testing.assert_allclose(forms.divergence @ q_new,
                                (rhs_new - big_l * areas * u_new) / tau,
                                rtol=0, atol=1e-10 * np.abs(rhs_new).max() / tau)
