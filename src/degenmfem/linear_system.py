@@ -125,8 +125,11 @@ _CHILD_SIDES = np.array([[4, 0, 8, 2],
                          [0, 6, 9, 3],
                          [1, 7, 3, 11]])
 # A level is stacked while the band left would take more multiply-adds,
-# nsk (bandwidth + 1)^2, than this: at n = 64 a second level pays and a
-# third does not, and at n = 32 not even the first.
+# nsk (bandwidth + 1)^2, than this.  With one BLAS thread, Newton's
+# factorization took 5.3, 3.4, 2.6 and 2.5 ms with 0-3 levels at n = 64
+# and 5.7, 3.8, 3.0 and 3.4 ms at n = 65; the limit stops both at two.
+# At n = 32 (3.9e6) one level saved 0.1 of 0.5 ms, but every mesh up to
+# n = 32, where the paper's tables run, keeps the band and its bits.
 LEVEL_WORK = 2.0e7
 
 _PBTRF, _PBTRS, _TBTRS = get_lapack_funcs(("pbtrf", "pbtrs", "tbtrs"),
@@ -308,7 +311,8 @@ def hybrid_operators(forms: AssembledForms) -> HybridOperators:
     while size * (_bandwidth(number, size) + 1) ** 2 > LEVEL_WORK:
         level, number, side = _merge(number, size, sides, side)
         levels.append(level)
-        sides, size = np.arange(number.shape[1]).reshape(4, -1), level.kept.size
+        sides = np.arange(number.shape[1]).reshape(4, -1)
+        size = level.kept.size
 
     # Every pair of skeleton positions of a coarsest block whose entry
     # (row <= col) lies in the upper band adds the entry of the upper
@@ -665,7 +669,7 @@ def solve(fact: Factorization, rhs_scalar):
         u, q = _product(ops.scalar, x), x
     else:
         u, q = _solve_hybrid(fact, rhs_scalar)
-    if not (np.isfinite(u).all() and (ops is not None or np.isfinite(q).all())):
+    if not np.isfinite(u).all() or ops is None and not np.isfinite(q).all():
         raise SingularSystemError("direct solve produced non-finite values")
     return u, q
 
