@@ -300,33 +300,29 @@ def hybrid_operators(forms: AssembledForms) -> HybridOperators:
     number = np.full(ne + 1, nsk)
     number[skeleton] = np.arange(nsk)
     macro_multiplier = number[boundary]
-    slot_multiplier = macro_multiplier.ravel()
-    slots = np.flatnonzero(slot_multiplier < nsk)
-    skeleton_slots = slots[np.argsort(
-        slot_multiplier[slots], kind="stable")].reshape(nsk, 2).T
 
     # Merge blocks 2x2, macros first, while the band left is costly.
-    levels, number = [], macro_multiplier.T
+    levels, coarse = [], macro_multiplier.T
     sides, side, size = _MACRO_BOUNDARY_SIDES, side, nsk
-    while size * (_bandwidth(number, size) + 1) ** 2 > LEVEL_WORK:
-        level, number, side = _merge(number, size, sides, side)
+    while size * (_bandwidth(coarse, size) + 1) ** 2 > LEVEL_WORK:
+        level, coarse, side = _merge(coarse, size, sides, side)
         levels.append(level)
-        sides = np.arange(number.shape[1]).reshape(4, -1)
+        sides = np.arange(coarse.shape[1]).reshape(4, -1)
         size = level.kept.size
 
     # Every pair of skeleton positions of a coarsest block whose entry
     # (row <= col) lies in the upper band adds the entry of the upper
     # triangle of its block to that entry, at its index in LAPACK's upper
     # band storage.
-    nb, b = number.shape
+    nb, b = coarse.shape
     p = np.arange(b)
     upper = np.minimum.outer(p, p) * b + np.maximum.outer(p, p)
-    row = np.broadcast_to(number[:, None, :], (nb, b, b)).ravel()
-    col = np.broadcast_to(number[:, :, None], (nb, b, b)).ravel()
+    row = np.broadcast_to(coarse[:, None, :], (nb, b, b)).ravel()
+    col = np.broadcast_to(coarse[:, :, None], (nb, b, b)).ravel()
     keep = (row <= col) & (col < size)
     row, col = row[keep], col[keep]
     pair_slot = (np.arange(nb)[:, None, None] * b * b + upper).ravel()[keep]
-    bandwidth = _bandwidth(number, size)
+    bandwidth = _bandwidth(coarse, size)
     band_slot, pair_pos = np.unique(
         col * (bandwidth + 1) + bandwidth + row - col, return_inverse=True)
 
@@ -337,11 +333,19 @@ def hybrid_operators(forms: AssembledForms) -> HybridOperators:
     arrays = (cells, positions, by_position(signs), by_position(minv),
               by_position(m), beta, by_position(v), by_position(inside),
               by_position(ssm, np.eye(3)), by_position(vv), skeleton,
-              pair_pos, pair_slot, owner_slot, skeleton_slots.copy(),
+              pair_pos, pair_slot, owner_slot, _pairs(macro_multiplier, nsk),
               macro_multiplier, band_slot)
     for a in arrays:
         a.flags.writeable = False
     return HybridOperators(*arrays, bandwidth, tuple(levels))
+
+
+def _pairs(number, size):
+    """The two flat indices in ``number`` of each of ``size`` skeleton
+    edges, (2, size)."""
+    flat = number.ravel()
+    slots = np.flatnonzero(flat < size)
+    return slots[np.argsort(flat[slots], kind="stable")].reshape(-1, 2).T
 
 
 def _bandwidth(number, size):
@@ -380,9 +384,6 @@ def _merge(number, size, sides, side):
     renumber = np.full(size + 1, kept.size)
     renumber[kept] = np.arange(kept.size)
     boundary = renumber[boundary]
-    flat = boundary.ravel()
-    slots = np.flatnonzero(flat < kept.size)
-    slots = slots[np.argsort(flat[slots], kind="stable")].reshape(-1, 2).T
 
     # Each entry of a merged block sums those of at most two children:
     # indices into its children's Schur blocks, side by side and followed
@@ -403,8 +404,8 @@ def _merge(number, size, sides, side):
     band = np.array([np.where(i >= 0, a[np.maximum(i, 0), j], none).T.ravel()
                      for a in (first, second)])
     children = np.vstack([children, np.full(nb, side * side + 1)]).T
-    arrays = (children, cross, boundary, kept, slots.copy(), band,
-              first[:c, c:].ravel(), first[c:, c:].ravel())
+    arrays = (children, cross, boundary, kept, _pairs(boundary, kept.size),
+              band, first[:c, c:].ravel(), first[c:, c:].ravel())
     for a in arrays:
         a.flags.writeable = False
     return CondensationLevel(*arrays), boundary, half
@@ -511,13 +512,12 @@ class SkeletonCholesky:
         for level, (cross_u, w) in zip(self.levels, self.factors):
             y = _TBTRS(cross_u, np.append(rhs, 0.0)[level.cross].reshape(
                 -1, 1), trans="T")[0].reshape(level.cross.shape)
-            forward.append((rhs.size, y))
+            forward.append((level, cross_u, w, rhs.size, y))
             update = np.matmul(y[:, None], w).ravel()
             first, second = level.slots
             rhs = rhs[level.kept] - update[first] - update[second]
         x = _PBTRS(self.band, rhs)[0]
-        for level, (cross_u, w), (size, y) in zip(
-                self.levels[::-1], self.factors[::-1], forward[::-1]):
+        for level, cross_u, w, size, y in reversed(forward):
             boundary = np.append(x, 0.0)[level.boundary]
             y -= np.matmul(w, boundary[:, :, None])[:, :, 0]
             below = np.empty(size + 1)
