@@ -589,6 +589,9 @@ def assemble(forms: AssembledForms, weights, tau: float) -> SaddleSystem:
     cross_pivot = macro[range(4), range(4)]
     cross_rows = macro[:4] / cross_pivot[:, None]
     coupling = coupling.copy()
+    # The work arrays are dead; a constant weight's operator build, the
+    # peak of its assembly, runs without them.
+    del macro, local, sides
     for a in (reduced, den, pivot, coupling, cross_pivot, cross_rows):
         a.flags.writeable = False
     system = SaddleSystem(forms, weights, float(tau), reduced, den, pivot,
