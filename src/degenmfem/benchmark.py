@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from degenmfem.fem import l2_norm_scalar, project_scalar
+from degenmfem.fem import project_scalar
 # assemble, factorize and hl_iterate are unused here: perfbench/tracer.py
 # looks them up on this module by name and refuses to install without them.
 from degenmfem.linear_system import assemble, factorize  # noqa: F401
@@ -125,7 +125,7 @@ def steps_for_tau(msol: ManufacturedSolution, tau: float) -> int:
     return n_steps
 
 
-def compute_reference(mesh, forms, tau, n_steps, msol=DEFAULT_SOLUTION):
+def compute_reference(mesh, forms, tau, n_steps):
     """High-accuracy solution of the nonlinear discrete systems per step.
 
     Runs the Holder L-scheme (chosen to avoid regularization error) in
@@ -148,6 +148,7 @@ def compute_reference(mesh, forms, tau, n_steps, msol=DEFAULT_SOLUTION):
     Returns the list of TimeStepResult; raises ReferenceConvergenceError
     if any step fails after all retries (fatal for the whole experiment).
     """
+    msol = DEFAULT_SOLUTION
     spec = msol.nonlinearity()
     _, base_l = select_delta(REFERENCE_SELECTION_TOL, tau, spec)
     config = SchemeConfig(
@@ -182,8 +183,8 @@ class ExperimentResult:
     converged: bool
 
 
-def scheme_config(kind, tol, tau, eps=None, msol=DEFAULT_SOLUTION, L=None,
-                  reg_kind="linear", shift=0.0):
+def scheme_config(kind, tol, tau, eps=None, L=None, reg_kind="linear",
+                  shift=0.0):
     """Config of one benchmark run, stopping within ``tol`` of the
     reference.
 
@@ -194,7 +195,7 @@ def scheme_config(kind, tol, tau, eps=None, msol=DEFAULT_SOLUTION, L=None,
     ``eps``, or an ``eps``, ``shift`` or ``reg_kind`` given to hl, is a
     ValueError.
     """
-    spec = msol.nonlinearity()
+    spec = DEFAULT_SOLUTION.nonlinearity()
     stopping = StoppingCriterion(mode="against_reference", tol=tol)
     if kind == "hl":
         for flag, given in (("eps", eps is not None), ("shift", shift != 0.0),
@@ -226,22 +227,22 @@ def experiment_row(config, eps, series, n_steps):
         converged=converged)
 
 
-def run_table(kind, mesh, forms, references_by_tau, msol=DEFAULT_SOLUTION,
-              tols=GRID_TOL, epses=GRID_EPS, taus=GRID_TAU):
+def run_table(kind, mesh, forms, references_by_tau, tols=GRID_TOL,
+              epses=GRID_EPS, taus=GRID_TAU):
     """Map one scheme over the benchmark grid.
 
     ``references_by_tau`` maps each tau to its ``compute_reference``
-    series; runs stop against its scalar fields and record no flux
-    error.  The hl scheme has no eps axis; its L comes from the
-    tolerance-driven selection, while the regularized L-scheme uses the
-    eps-driven value.  Per-cell non-convergence is recorded in the
-    result row, never raised.
+    series; runs stop against its scalar fields.  The hl scheme has no
+    eps axis; its L comes from the tolerance-driven selection, while the
+    regularized L-scheme uses the eps-driven value.  Per-cell
+    non-convergence is recorded in the result row, never raised.
 
     Rows are ordered tol-major, then eps, then tau, matching the
     recorded layout.
     """
     if kind not in SCHEME_KINDS:
         raise ValueError(f"unknown scheme kind {kind!r}")
+    msol = DEFAULT_SOLUTION
     u0 = project_scalar(mesh, msol.initial)
     source = make_source_provider(mesh, msol)
     eps_axis = [None] if kind == "hl" else epses
@@ -249,21 +250,12 @@ def run_table(kind, mesh, forms, references_by_tau, msol=DEFAULT_SOLUTION,
     results = []
     for tol, eps, tau in itertools.product(tols, eps_axis, taus):
         n_steps = steps_for_tau(msol, tau)
-        config = scheme_config(kind, tol, tau, eps, msol)
-        references = [(r.u, None) for r in references_by_tau[tau]]
-        series = run_time_series(config, mesh, forms, u0, source, n_steps,
-                                 references=references)
+        config = scheme_config(kind, tol, tau, eps)
+        series = run_time_series(
+            config, mesh, forms, u0, source, n_steps,
+            references=[r.u for r in references_by_tau[tau]])
         results.append(experiment_row(config, eps, series, n_steps))
     return results
-
-
-def discretization_error(mesh, reference_results, msol=DEFAULT_SOLUTION):
-    """L2 distance of the final reference step to the exact solution at
-    barycenters (used for the mesh-refinement sanity check)."""
-    final = reference_results[-1]
-    exact = project_scalar(
-        mesh, lambda x, y: msol.exact(final.t, x, y))
-    return l2_norm_scalar(mesh, final.u - exact)
 
 
 def _format_result_fields(r):

@@ -121,7 +121,7 @@ def _run_solve(args) -> int:
     # not take, is rejected before the reference run.
     try:
         config = scheme_config(args.scheme, args.tol, args.tau, args.eps,
-                               msol, args.L, args.reg_kind, args.shift)
+                               args.L, args.reg_kind, args.shift)
     except ValueError as exc:
         _usage_error(str(exc))
 
@@ -131,12 +131,12 @@ def _run_solve(args) -> int:
     mesh = build_structured_unit_square(args.n)
     forms = assemble_forms(mesh, msol.boundary_value)
 
-    reference = compute_reference(mesh, forms, args.tau, args.steps, msol)
+    reference = compute_reference(mesh, forms, args.tau, args.steps)
 
     u0 = project_scalar(mesh, msol.initial)
     source = make_source_provider(mesh, msol)
     series = run_time_series(config, mesh, forms, u0, source, args.steps,
-                             references=[(r.u, None) for r in reference])
+                             references=[r.u for r in reference])
     result = experiment_row(config, args.eps, series, args.steps)
     write_results_csv(out_dir / "solve_result.csv", [result])
 
@@ -184,13 +184,13 @@ def _run_tables(args) -> int:
     for tau in benchmark.GRID_TAU:
         n_steps = benchmark.steps_for_tau(msol, tau)
         print(f"computing reference for tau = {tau:g} ({n_steps} steps) ...")
-        references[tau] = compute_reference(mesh, forms, tau, n_steps, msol)
+        references[tau] = compute_reference(mesh, forms, tau, n_steps)
 
     summaries = []
     for which in wanted:
         kind = TABLE_SCHEMES[which]
         print(f"running table {which} ({kind}) on the n = {args.n} mesh ...")
-        results = run_table(kind, mesh, forms, references, msol)
+        results = run_table(kind, mesh, forms, references)
         write_results_csv(out_dir / f"table{which}.csv", results)
         summaries.append(render_summary(
             results, f"table {which} ({kind}), n = {args.n}"))

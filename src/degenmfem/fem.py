@@ -145,21 +145,6 @@ def project_scalar(mesh: Mesh, func) -> np.ndarray:
     return vals
 
 
-def interpolate_flux(mesh: Mesh, vector_func) -> np.ndarray:
-    """Interpolate a vector field into RT0 via edge-midpoint normal fluxes.
-
-    ``vector_func(x, y)`` must return the two components; the degree of
-    freedom is  v(midpoint) . n_E  |E|,  exact for fields with linear
-    normal components along each edge (constants in particular).
-    """
-    mx, my = mesh.edge_midpoints[:, 0], mesh.edge_midpoints[:, 1]
-    vx, vy = vector_func(mx, my)
-    vx = np.broadcast_to(np.asarray(vx, dtype=float), (mesh.num_edges,))
-    vy = np.broadcast_to(np.asarray(vy, dtype=float), (mesh.num_edges,))
-    normal_component = vx * mesh.edge_normals[:, 0] + vy * mesh.edge_normals[:, 1]
-    return normal_component * mesh.edge_lengths
-
-
 def l2_norm_scalar(mesh: Mesh, u: np.ndarray) -> float:
     """L2(Omega) norm of a piecewise-constant field."""
     u = np.asarray(u)

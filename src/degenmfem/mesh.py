@@ -59,10 +59,6 @@ class Mesh:
     cell_barycenters: np.ndarray
 
     @property
-    def num_vertices(self) -> int:
-        return self.vertices.shape[0]
-
-    @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
 

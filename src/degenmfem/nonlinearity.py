@@ -106,35 +106,3 @@ def b_eps_prime(spec: RegularizationSpec, u):
     if spec.shift:
         out = out + spec.shift
     return out if out.ndim else float(out)
-
-
-def lipschitz_constants(spec: RegularizationSpec):
-    """Return (L_beps, L_beps_prime) for the regularized nonlinearity.
-
-    The linear kind has L_beps = eps^(alpha-1) and
-    L_beps_prime = alpha (1-alpha) eps^(alpha-2).  The quadratic kind is
-    steepest at 0+, giving L_beps = (2-alpha) eps^(alpha-1), and its
-    b'_eps has maximal slope 2 (1-alpha) eps^(alpha-2) inside the
-    regularization interval.  A shift adds itself to L_beps.
-    """
-    alpha, eps = spec.base.alpha, spec.epsilon
-    if spec.kind == "linear":
-        l_beps = eps ** (alpha - 1.0)
-        l_prime = alpha * (1.0 - alpha) * eps ** (alpha - 2.0)
-    else:
-        l_beps = (2.0 - alpha) * eps ** (alpha - 1.0)
-        l_prime = 2.0 * (1.0 - alpha) * eps ** (alpha - 2.0)
-    return float(l_beps + spec.shift), float(l_prime)
-
-
-def regularization_gap_bound(spec: RegularizationSpec) -> float:
-    """Upper bound (1-alpha) alpha^(alpha/(1-alpha)) eps^alpha on b - b_eps.
-
-    Exact for the linear kind; the quadratic kind satisfies the same
-    bound (its gap is pointwise no larger), which the tests verify
-    numerically.  Zero in the Lipschitz case alpha = 1.
-    """
-    alpha, eps = spec.base.alpha, spec.epsilon
-    if alpha == 1.0:
-        return 0.0
-    return (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha)) * eps**alpha

@@ -26,18 +26,16 @@ solve operators, serves all iterations of all time steps; Newton's
 weights change, so it reassembles and refactorizes every iteration, and
 its solve forms q with u.  A constant-weight solve forms u alone and
 keeps the unknowns x of its solve, and ``linear_system.flux`` forms q
-from x, a product and no second solve, in three cases only: every
-iteration when a flux reference records its error, the iterations of
-the increment rule's screen band (below), and once for the final
-iterate.  The source functional
+from x, a product and no second solve, in two cases only: the
+iterations of the increment rule's screen band (below), and once for
+the final iterate.  The source functional
 <f, w> is carried on the right-hand side of every scheme.  ``march`` is
 the one time-step loop: the series driver and the benchmark's reference
 stage both call it, and it holds the factorizations the constant-weight
 steps share.
 
 Stopping is either ``against_reference`` (L2 distance of the scalar
-iterate to a supplied reference field drops below TOL; the flux error
-is recorded, never used to stop, when a flux reference is supplied) or
+iterate to a supplied reference field drops below TOL) or
 ``increment`` (both the absolute sum ||du|| + ||dq|| and the relative
 sum ||du||/||u|| + ||dq||/||q|| drop below TOL, with ||dq|| the M-norm
 of the flux increment).  For a constant weight L every iterate solves
@@ -84,7 +82,6 @@ from degenmfem.nonlinearity import (
     b_eps_prime,
     b_value,
 )
-from degenmfem.theory import contraction_factor, per_iteration_accumulation
 
 SCHEME_KINDS = ("hl", "lreg", "newton")
 
@@ -109,14 +106,11 @@ class StoppingCriterion:
     tol : the threshold TOL
     reference : scalar reference field (against_reference mode); may be
         filled in per time step by the series driver
-    flux_reference : optional flux reference, only used to record the
-        flux error history
     """
 
     mode: str
     tol: float
     reference: np.ndarray | None = None
-    flux_reference: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mode not in ("against_reference", "increment"):
@@ -192,15 +186,13 @@ class IterationReport:
     absolute increment sum from the second iterate on.  A constant
     weight records there the sum from cell vectors, except in the
     screen band, where it records the one from flux norms (see the
-    module notes).  ``flux_error_history`` holds the flux error of every
-    iterate when a flux reference is supplied.
+    module notes).
     """
 
     iterations_used: int
     converged: bool
     failure_reason: str | None = None
     error_history: list = field(default_factory=list)
-    flux_error_history: list | None = None
 
     def __post_init__(self):
         if self.converged and self.failure_reason is not None:
@@ -221,7 +213,7 @@ class _Stopping:
 
     ``fact`` is the factorization of a constant-weight step, whose solve
     leaves q out and returns its unknowns x instead: the tracker forms q
-    from x by ``flux`` only where a decision or a record reads it, and
+    from x by ``flux`` only where a decision reads it, and
     takes the increments of the other iterations from cell vectors.
     Newton (``fact`` None) passes every q.
     """
@@ -232,10 +224,6 @@ class _Stopping:
         self.crit = criterion
         self.fact = fact
         self.error_history = []
-        self.flux_error_history = (
-            [] if (criterion.mode == "against_reference"
-                   and criterion.flux_reference is not None) else None
-        )
         if criterion.mode == "against_reference" and criterion.reference is None:
             raise ValueError("against_reference stopping needs a reference field")
         # The last recorded iterate, the unknowns x of its constant-weight
@@ -268,9 +256,6 @@ class _Stopping:
         if self.crit.mode == "against_reference":
             err = l2_norm_scalar(self.mesh, u_new - self.crit.reference)
             self.error_history.append(err)
-            if self.flux_error_history is not None:
-                self.flux_error_history.append(l2_norm_flux(
-                    self.forms, self.last_flux() - self.crit.flux_reference))
             if not math.isfinite(err) or err > DIVERGENCE_THRESHOLD:
                 return False, True
             return err < self.crit.tol, False
@@ -384,7 +369,6 @@ def linearized_iterate(forms, config, storage_prev, u_init, f_n, fact=None):
         converged=converged,
         failure_reason=None if converged else reason,
         error_history=tracker.error_history,
-        flux_error_history=tracker.flux_error_history,
     )
 
 
@@ -400,8 +384,8 @@ def march(config, forms, u0, source_fn, n_steps, references=None,
     Each step feeds the previous solution as the initial guess and as
     the storage right-hand-side term; ``source_fn(t_n, t_prev)`` returns
     the per-cell source density for the step ending at t_n, and
-    ``references`` (if given) one (u_ref, q_ref) stopping pair per step;
-    q_ref may be None, and then no flux error is recorded.
+    ``references`` (if given) the scalar reference field each step stops
+    against, at least n_steps of them.
     The driver of ``config.kind`` is looked up on this module per call,
     so a driver replaced on the module is the one run.
 
@@ -416,6 +400,8 @@ def march(config, forms, u0, source_fn, n_steps, references=None,
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if escalations and config.kind == "newton":
         raise ValueError("only a constant L can be escalated")
+    if references is not None and len(references) < n_steps:
+        raise ValueError(f"need {n_steps} references, got {len(references)}")
     storage_fn = config.storage_function()
     iterate = {"hl": hl_iterate, "lreg": regularized_l_iterate,
                "newton": newton_iterate}[config.kind]
@@ -429,12 +415,8 @@ def march(config, forms, u0, source_fn, n_steps, references=None,
         storage_prev = storage_fn(u_prev)
         step_config = config
         if references is not None:
-            u_ref, q_ref = references[n - 1]
-            step_config = replace(
-                config,
-                stopping=replace(config.stopping, reference=u_ref,
-                                 flux_reference=q_ref),
-            )
+            step_config = replace(config, stopping=replace(
+                config.stopping, reference=references[n - 1]))
         for attempt in range(escalations + 1):
             if attempt:
                 step_config = replace(step_config, L=4.0 * step_config.L)
@@ -460,17 +442,15 @@ def run_time_series(config, mesh, forms, u0, source_fn, n_steps,
                     references=None):
     """March n_steps steps of one scheme without L escalation.
 
-    For against_reference stopping, ``references`` supplies one
-    (u_ref, q_ref) pair per step unless the criterion already carries a
-    reference.  The series stops at the first non-converged step (the
-    whole run is then reported nc by the benchmark).  See ``march``.
+    For against_reference stopping, ``references`` supplies one scalar
+    reference field per step unless the criterion already carries one.
+    The series stops at the first non-converged step (the whole run is
+    then reported nc by the benchmark).  See ``march``.
     """
     if config.stopping.mode == "against_reference" and references is None \
             and config.stopping.reference is None:
         raise ValueError("series with against_reference stopping needs "
                          "per-step references")
-    if references is not None and len(references) < n_steps:
-        raise ValueError(f"need {n_steps} references, got {len(references)}")
     return march(config, forms, u0, source_fn, n_steps, references)
 
 
@@ -480,33 +460,6 @@ def total_iterations(results) -> int:
 
 def series_converged(results, n_steps) -> bool:
     return len(results) == n_steps and all(r.report.converged for r in results)
-
-
-def theorem_bound_monitor(u_errors, flux_errors, delta, tau,
-                          spec: NonlinearitySpec, slack=1e-7):
-    """Check the one-iteration error inequality along a recorded history.
-
-    ``u_errors`` holds the scalar error norms against the reference for
-    the initial guess and every iterate (length k+1); ``flux_errors``
-    holds the flux error norms of the iterates (length k).  Iteration i
-    satisfies the bound when
-
-        e_u[i]^2 + tau delta R e_q[i]^2
-            <= R e_u[i-1]^2 + 2 C(alpha) R delta^(2/(1-alpha)) + slack,
-
-    the absolute slack absorbing the reference-solution error.  Returns
-    one boolean per iteration; violations are reported, not raised.
-    """
-    if len(flux_errors) != len(u_errors) - 1:
-        raise ValueError("flux_errors must have one entry per iteration")
-    r = contraction_factor(delta, tau)
-    accumulation = per_iteration_accumulation(delta, tau, spec)
-    checks = []
-    for i in range(1, len(u_errors)):
-        lhs = u_errors[i] ** 2 + tau * delta * r * flux_errors[i - 1] ** 2
-        rhs = r * u_errors[i - 1] ** 2 + accumulation + slack
-        checks.append(bool(lhs <= rhs))
-    return checks
 
 
 def mass_balance_residual(forms: AssembledForms, storage_new, storage_prev,

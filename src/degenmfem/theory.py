@@ -72,13 +72,6 @@ def accumulated_error_bound(delta: float, tau: float,
     return 2.0 * c_alpha(spec) * delta**exponent / tau
 
 
-def per_iteration_accumulation(delta: float, tau: float,
-                               spec: NonlinearitySpec) -> float:
-    """The additive term 2 C(alpha) R delta^(2/(1-alpha)) of one iteration."""
-    r = contraction_factor(delta, tau)
-    return 2.0 * c_alpha(spec) * r * delta ** (2.0 / (1.0 - spec.alpha))
-
-
 def _ceil_guarded(value: float) -> int:
     # Guard one-ulp overshoot so exact integers are not bumped up.
     return int(math.ceil(value - 1e-9 * max(1.0, abs(value))))

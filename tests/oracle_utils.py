@@ -4,7 +4,11 @@ These deliberately avoid the package's own quadrature choices: the mass
 matrix oracle integrates with a 7-point degree-5 rule rather than the
 implementation's edge-midpoint rule.  The saddle-system oracles build
 the full block matrix and the skeleton matrix from an assembled system,
-and solve with any flux right-hand side.
+and solve with any flux right-hand side.  The theory oracles state the
+convergence theorem's one-iteration bound, the regularization's
+Lipschitz constants and gap bound, an RT0 interpolant and the
+discretization error of a reference series; no run of the package
+calls them.
 """
 
 from dataclasses import replace
@@ -12,7 +16,11 @@ from dataclasses import replace
 import numpy as np
 import scipy.sparse as sps
 
+import degenmfem.schemes as schemes
+from degenmfem.benchmark import DEFAULT_SOLUTION
+from degenmfem.fem import l2_norm_scalar, project_scalar
 from degenmfem.linear_system import assemble, factorize, flux, solve
+from degenmfem.theory import c_alpha, contraction_factor
 
 
 def degree5_triangle_rule():
@@ -111,3 +119,107 @@ def solve_with_flux(fact, rhs_scalar):
     constant-weight solve returns in its place."""
     u, q = solve(fact, rhs_scalar)
     return u, q if fact.system.operators is None else flux(fact, q)
+
+
+def record_fluxes(monkeypatch):
+    """Wrap ``schemes.solve`` so that every constant-weight solve also
+    forms its iterate's q by ``flux``; returns the list they go to, in
+    solve order.  The step loop records no flux of its own."""
+    fluxes, solve = [], schemes.solve
+
+    def solve_forming_flux(fact, rhs_scalar):
+        u, x = solve(fact, rhs_scalar)
+        fluxes.append(flux(fact, x))
+        return u, x
+
+    monkeypatch.setattr(schemes, "solve", solve_forming_flux)
+    return fluxes
+
+
+def per_iteration_accumulation(delta, tau, spec):
+    """The additive term 2 C(alpha) R delta^(2/(1-alpha)) of one iteration."""
+    r = contraction_factor(delta, tau)
+    return 2.0 * c_alpha(spec) * r * delta ** (2.0 / (1.0 - spec.alpha))
+
+
+def theorem_bound_monitor(u_errors, flux_errors, delta, tau, spec,
+                          slack=1e-7):
+    """Check the one-iteration error inequality along a recorded history.
+
+    ``u_errors`` holds the scalar error norms against the reference for
+    the initial guess and every iterate (length k+1); ``flux_errors``
+    holds the flux error norms of the iterates (length k).  Iteration i
+    satisfies the bound when
+
+        e_u[i]^2 + tau delta R e_q[i]^2
+            <= R e_u[i-1]^2 + 2 C(alpha) R delta^(2/(1-alpha)) + slack,
+
+    the absolute slack absorbing the reference-solution error.  Returns
+    one boolean per iteration; violations are reported, not raised.
+    """
+    if len(flux_errors) != len(u_errors) - 1:
+        raise ValueError("flux_errors must have one entry per iteration")
+    r = contraction_factor(delta, tau)
+    accumulation = per_iteration_accumulation(delta, tau, spec)
+    checks = []
+    for i in range(1, len(u_errors)):
+        lhs = u_errors[i] ** 2 + tau * delta * r * flux_errors[i - 1] ** 2
+        rhs = r * u_errors[i - 1] ** 2 + accumulation + slack
+        checks.append(bool(lhs <= rhs))
+    return checks
+
+
+def lipschitz_constants(spec):
+    """Return (L_beps, L_beps_prime) for a RegularizationSpec.
+
+    The linear kind has L_beps = eps^(alpha-1) and
+    L_beps_prime = alpha (1-alpha) eps^(alpha-2).  The quadratic kind is
+    steepest at 0+, giving L_beps = (2-alpha) eps^(alpha-1), and its
+    b'_eps has maximal slope 2 (1-alpha) eps^(alpha-2) inside the
+    regularization interval.  A shift adds itself to L_beps.
+    """
+    alpha, eps = spec.base.alpha, spec.epsilon
+    if spec.kind == "linear":
+        l_beps = eps ** (alpha - 1.0)
+        l_prime = alpha * (1.0 - alpha) * eps ** (alpha - 2.0)
+    else:
+        l_beps = (2.0 - alpha) * eps ** (alpha - 1.0)
+        l_prime = 2.0 * (1.0 - alpha) * eps ** (alpha - 2.0)
+    return float(l_beps + spec.shift), float(l_prime)
+
+
+def regularization_gap_bound(spec):
+    """Upper bound (1-alpha) alpha^(alpha/(1-alpha)) eps^alpha on b - b_eps.
+
+    Exact for the linear kind; the quadratic kind satisfies the same
+    bound (its gap is pointwise no larger), which the tests verify
+    numerically.  Zero in the Lipschitz case alpha = 1.
+    """
+    alpha, eps = spec.base.alpha, spec.epsilon
+    if alpha == 1.0:
+        return 0.0
+    return (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha)) * eps**alpha
+
+
+def interpolate_flux(mesh, vector_func):
+    """Interpolate a vector field into RT0 via edge-midpoint normal fluxes.
+
+    ``vector_func(x, y)`` must return the two components; the degree of
+    freedom is  v(midpoint) . n_E  |E|,  exact for fields with linear
+    normal components along each edge (constants in particular).
+    """
+    mx, my = mesh.edge_midpoints[:, 0], mesh.edge_midpoints[:, 1]
+    vx, vy = vector_func(mx, my)
+    vx = np.broadcast_to(np.asarray(vx, dtype=float), (mesh.num_edges,))
+    vy = np.broadcast_to(np.asarray(vy, dtype=float), (mesh.num_edges,))
+    normal_component = vx * mesh.edge_normals[:, 0] + vy * mesh.edge_normals[:, 1]
+    return normal_component * mesh.edge_lengths
+
+
+def discretization_error(mesh, reference_results):
+    """L2 distance of the final reference step to the exact solution at
+    barycenters (used for the mesh-refinement sanity check)."""
+    final = reference_results[-1]
+    exact = project_scalar(
+        mesh, lambda x, y: DEFAULT_SOLUTION.exact(final.t, x, y))
+    return l2_norm_scalar(mesh, final.u - exact)

@@ -3,7 +3,6 @@ import pytest
 
 from degenmfem.fem import (
     assemble_forms,
-    interpolate_flux,
     l2_norm_flux,
     l2_norm_scalar,
     project_scalar,
@@ -11,7 +10,7 @@ from degenmfem.fem import (
 from degenmfem.mesh import build_structured_unit_square
 
 
-from oracle_utils import brute_force_flux_mass
+from oracle_utils import brute_force_flux_mass, interpolate_flux
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -14,7 +14,7 @@ from degenmfem.mesh import build_structured_unit_square
 )
 def test_entity_counts(n, nv, ne, nc):
     mesh = build_structured_unit_square(n)
-    assert mesh.num_vertices == nv == (n + 1) ** 2
+    assert mesh.vertices.shape[0] == nv == (n + 1) ** 2
     assert mesh.num_edges == ne == 3 * n**2 + 2 * n
     assert mesh.num_cells == nc == 2 * n**2
 
@@ -23,7 +23,7 @@ def test_entity_counts(n, nv, ne, nc):
 def test_euler_formula(n):
     mesh = build_structured_unit_square(n)
     # V - E + F = 2 with the outer face counted.
-    assert mesh.num_vertices - mesh.num_edges + (mesh.num_cells + 1) == 2
+    assert mesh.vertices.shape[0] - mesh.num_edges + (mesh.num_cells + 1) == 2
 
 
 def test_invalid_n():

@@ -7,9 +7,8 @@ from degenmfem.nonlinearity import (
     b_eps,
     b_eps_prime,
     b_value,
-    lipschitz_constants,
-    regularization_gap_bound,
 )
+from oracle_utils import lipschitz_constants, regularization_gap_bound
 
 HALF = NonlinearitySpec(alpha=0.5)
 

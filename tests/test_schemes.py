@@ -22,9 +22,9 @@ from degenmfem.schemes import (
     newton_iterate,
     regularized_l_iterate,
     run_time_series,
-    theorem_bound_monitor,
     total_iterations,
 )
+from oracle_utils import record_fluxes, theorem_bound_monitor
 
 LIPSCHITZ = NonlinearitySpec(alpha=1.0)
 HOLDER = NonlinearitySpec(alpha=0.5)
@@ -53,9 +53,9 @@ def _manufactured_linear_step(forms, tau=0.4, seed=0):
     return u_star, q_star, u_prev, f_n
 
 
-def _reference_stop(u_ref, q_ref=None, tol=1e-10):
+def _reference_stop(u_ref, tol=1e-10):
     return StoppingCriterion(mode="against_reference", tol=tol,
-                             reference=u_ref, flux_reference=q_ref)
+                             reference=u_ref)
 
 
 def test_config_validation():
@@ -89,7 +89,7 @@ def test_newton_linear_problem_one_iteration(forms):
     u_star, q_star, u_prev, f_n = _manufactured_linear_step(forms)
     reg = RegularizationSpec(kind="linear", epsilon=1e-3, base=LIPSCHITZ)
     config = SchemeConfig(kind="newton", tau=tau,
-                          stopping=_reference_stop(u_star, q_star),
+                          stopping=_reference_stop(u_star),
                           regularization=reg)
     u, q, report = newton_iterate(forms, config, u_prev, u_prev, f_n)
     assert report.converged
@@ -136,22 +136,26 @@ def test_hl_equals_lreg_for_lipschitz_nonlinearity(forms):
     assert rep1.error_history == rep2.error_history
 
 
-def test_flux_formed_once_matches_flux_every_iteration(forms):
-    # Stopping on u alone forms q once, for the final iterate; a flux
-    # reference makes every iteration form it.  Both agree to the bit.
-    tau = 0.4
-    u_star, q_star, u_prev, f_n = _manufactured_linear_step(forms, seed=5)
-    (u1, q1, rep1), (u2, q2, rep2) = (
-        hl_iterate(forms, SchemeConfig(
-            kind="hl", tau=tau, nonlinearity=LIPSCHITZ, L=2.0,
-            stopping=_reference_stop(u_star, q_ref, tol=1e-9)),
-            np.maximum(u_prev, 0.0), u_prev, f_n)
-        for q_ref in (None, q_star))
+def test_flux_formed_once_matches_flux_every_iteration(forms, monkeypatch):
+    # Stopping on u alone forms q once, for the final iterate.  Forming q
+    # from every solve's unknowns, as the error-bound criterion does,
+    # changes nothing, and the last one is the step's q to the bit.
+    u_star, _, u_prev, f_n = _manufactured_linear_step(forms, seed=5)
+    config = SchemeConfig(kind="hl", tau=0.4, nonlinearity=LIPSCHITZ, L=2.0,
+                          stopping=_reference_stop(u_star, tol=1e-9))
+
+    def step():
+        return hl_iterate(forms, config, np.maximum(u_prev, 0.0), u_prev, f_n)
+
+    u1, q1, rep1 = step()
+    fluxes = record_fluxes(monkeypatch)
+    u2, q2, rep2 = step()
     assert rep1.converged and rep1.iterations_used > 1
     assert rep1.error_history == rep2.error_history
-    assert len(rep2.flux_error_history) == rep2.iterations_used
+    assert len(fluxes) == rep2.iterations_used
     np.testing.assert_array_equal(u1, u2)
     np.testing.assert_array_equal(q1, q2)
+    np.testing.assert_array_equal(q1, fluxes[-1])
 
 
 def test_exact_initial_guess_stops_immediately(forms):
@@ -423,7 +427,7 @@ def test_run_time_series_calls_driver_of_kind_per_step(forms, monkeypatch,
     # The series looks its driver up on the module at call time, once per
     # step; per-layer tracing counts steps through these names.  At this
     # tol every kind converges on both steps.
-    u_star, q_star, u_prev, f_n = _manufactured_linear_step(forms, seed=8)
+    u_star, _, u_prev, f_n = _manufactured_linear_step(forms, seed=8)
     config = _holder_config(kind, StoppingCriterion(mode="against_reference",
                                                     tol=3e-2))
     calls = []
@@ -441,7 +445,7 @@ def test_run_time_series_calls_driver_of_kind_per_step(forms, monkeypatch,
         monkeypatch.setattr(schemes, name, recorder(name))
     results = run_time_series(config, forms.mesh, forms, u_prev,
                               lambda tn, tp: f_n, 2,
-                              references=[(u_star, q_star)] * 2)
+                              references=[u_star] * 2)
     assert [r.report.converged for r in results] == [True, True]
     assert calls == [(DRIVERS[kind], kind)] * 2
 
@@ -472,6 +476,24 @@ def test_march_needs_a_step(forms, n_steps):
                         lambda tn, tp: f_n, n_steps)
 
 
+def test_march_refuses_short_references_before_a_solve(forms, monkeypatch):
+    # A list shorter than the series would run the steps it covers and
+    # then fail on its index; the march refuses it before the first step.
+    u_star, _, u_prev, f_n = _manufactured_linear_step(forms, seed=8)
+    config = _holder_config("hl", StoppingCriterion(mode="against_reference",
+                                                    tol=3e-2))
+    solves, solve = [], schemes.solve
+    monkeypatch.setattr(schemes, "solve",
+                        lambda *args: solves.append(1) or solve(*args))
+    with pytest.raises(ValueError, match="need 3 references, got 2"):
+        schemes.march(config, forms, u_prev, lambda tn, tp: f_n, 3,
+                      references=[u_star] * 2)
+    with pytest.raises(ValueError, match="need 3 references, got 2"):
+        run_time_series(config, forms.mesh, forms, u_prev,
+                        lambda tn, tp: f_n, 3, references=[u_star] * 2)
+    assert solves == []
+
+
 def test_march_escalates_only_a_constant_l(forms):
     _, _, u_prev, f_n = _manufactured_linear_step(forms, seed=8)
     config = _holder_config("newton", StoppingCriterion(mode="increment",
@@ -490,7 +512,7 @@ def test_run_time_series_zero_problem():
         kind="hl", tau=0.05,
         stopping=StoppingCriterion(mode="against_reference", tol=1e-12),
         nonlinearity=HOLDER, L=19.0)
-    refs = [(zero, np.zeros(forms0.num_edges))] * 10
+    refs = [zero] * 10
     results = run_time_series(config, mesh, forms0, zero,
                               lambda tn, tp: zero, 10, references=refs)
     assert len(results) == 10  # tau = 0.05 over T = 0.5
@@ -503,17 +525,17 @@ def test_run_time_series_zero_problem():
 
 def test_run_time_series_single_step_matches_direct_call(forms):
     tau = 0.4
-    u_star, q_star, u_prev, f_n = _manufactured_linear_step(forms, seed=21)
+    u_star, _, u_prev, f_n = _manufactured_linear_step(forms, seed=21)
     config = SchemeConfig(kind="hl", tau=tau,
                           stopping=StoppingCriterion(mode="against_reference",
                                                      tol=1e-9),
                           nonlinearity=LIPSCHITZ, L=1.0)
     series = run_time_series(config, forms.mesh, forms, u_prev,
                              lambda tn, tp: f_n, 1,
-                             references=[(u_star, q_star)])
+                             references=[u_star])
     u_direct, q_direct, rep = hl_iterate(
         forms, SchemeConfig(kind="hl", tau=tau,
-                            stopping=_reference_stop(u_star, q_star, 1e-9),
+                            stopping=_reference_stop(u_star, 1e-9),
                             nonlinearity=LIPSCHITZ, L=1.0),
         np.maximum(u_prev, 0.0), u_prev, f_n)
     assert len(series) == 1
@@ -528,7 +550,7 @@ def test_run_time_series_aborts_on_failure(forms):
                           stopping=StoppingCriterion(mode="against_reference",
                                                      tol=1e-14),
                           nonlinearity=HOLDER, L=40.0, max_iterations=2)
-    refs = [(u_star, None)] * 5
+    refs = [u_star] * 5
     results = run_time_series(config, forms.mesh, forms, u_prev,
                               lambda tn, tp: f_n, 5, references=refs)
     assert len(results) == 1

@@ -7,10 +7,10 @@ from degenmfem.theory import (
     c_alpha,
     contraction_factor,
     delta_closed_form,
-    per_iteration_accumulation,
     select_L_regularized,
     select_delta,
 )
+from oracle_utils import per_iteration_accumulation
 
 SPEC = NonlinearitySpec(alpha=0.5)
 
