@@ -72,11 +72,11 @@ class ReferenceConvergenceError(Exception):
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    """The prescribed space-time solution and problem data."""
+    """The prescribed space-time solution and its data, class constants."""
 
-    final_time: float = 0.5
-    boundary_value: float = -0.5
-    alpha: float = 0.5
+    final_time = 0.5
+    boundary_value = -0.5
+    alpha = 0.5
 
     def exact(self, t, x, y):
         return self.boundary_value + 16.0 * x * (1.0 - x) * y * (1.0 - y) * (t + 0.5)

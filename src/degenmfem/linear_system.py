@@ -40,17 +40,17 @@ levels of merged blocks, nested dissection of the regular mesh (George
 1973): each level merges the blocks below 2x2, the macros first, and
 eliminates each merged block's inner cross densely, for all blocks at
 once (the Cholesky factors of the crosses, one block-diagonal band, then
-their Schur complements onto the blocks' boundaries).  Each level halves
-the skeleton left and keeps its bandwidth; levels are stacked while its
-band would cost more than ``LEVEL_WORK``: none up to n = 32, two at
-n = 64.  Odd block grids are completed by phantom blocks, identities,
-that decouple.  The skeleton left on the coarsest blocks' boundaries
-(the macros' when there is no level) is factorized by LAPACK's band
-Cholesky (``pbtrf``) whatever the weight, summed into the entries of its
-upper band, whose places are fixed per mesh.  A skeleton solve runs the
-levels forward, the pair of band triangular solves (``pbtrs``), then the
-levels back.  An empty skeleton (n < 3) factorizes and solves as
-nothing.
+their Schur complements onto the blocks' boundaries).  The macros are
+the same merge of the mesh's squares.  Each level halves the skeleton
+left and keeps its bandwidth; levels are stacked while its band would
+cost more than ``LEVEL_WORK``: none up to n = 32, two at n = 64.  Odd
+block grids are completed by phantom blocks, identities, that decouple.
+The skeleton left on the coarsest blocks' boundaries (the macros' when
+there is no level) is factorized by LAPACK's band Cholesky (``pbtrf``)
+whatever the weight, summed by one ``bincount`` into the storage of its
+upper band.  A skeleton solve runs the levels forward, the pair of band
+triangular solves (``pbtrs``), then the levels back.  An empty skeleton
+(n < 3) factorizes and solves as nothing.
 
 The mesh-only operators of the reduction (``HybridOperators``, with the
 macro numbering ``MACRO_SIDES`` and the ``CondensationLevel``s) are
@@ -111,10 +111,6 @@ MACRO_SIDES = np.array([[4, 0, 2, 5],
                         [8, 1, 9, 2],
                         [0, 6, 3, 7],
                         [1, 11, 10, 3]])
-# The skeleton positions 4-11 of a macro, less 4, on its bottom, top,
-# left and right sides, each along its side.
-_MACRO_BOUNDARY_SIDES = MACRO_SIDES[[[0, 1], [2, 3], [0, 2], [1, 3]],
-                                    [[0], [1], [3], [2]]] - 4
 # The children of a level block, lower left, lower right, upper left and
 # upper right, list the groups of e positions their bottom, top, left and
 # right sides take in it: groups 0-3 are the cross (the horizontal's left
@@ -142,7 +138,7 @@ class CondensationLevel:
 
     Each block of the level merges four children, blocks of the level
     below (the macros on the first level), whose 4e boundary positions
-    list their bottom, top, left and right sides, e positions each, along
+    hold their bottom, top, left and right sides, e positions each, along
     the side.  The merged block has 12e positions: its inner cross, 4e,
     then its own boundary, 8e, in groups of e (``_CHILD_SIDES``).
     ``children`` (num_blocks, 5) numbers each block's children, lower
@@ -201,26 +197,27 @@ class HybridOperators:
     multipliers decouple and solve to zero.  The rest is zero on
     phantoms.
 
-    The skeleton is the interior edges on the macros' boundaries;
-    ``skeleton_edges`` lists them by edge midpoint, y then x, which keeps
-    a macro's eight skeleton edges within about 2n of each other.
-    ``macro_multiplier[b, M]`` is the skeleton number of position 4 + b
-    of macro M, or the number of skeleton edges if it has none, and
-    ``skeleton_slots[:, i]`` the two flat (8, num_macros) indices of
-    skeleton edge i.
+    The macros are the quadtree's first ``_merge``, of the mesh's squares
+    with ``MACRO_SIDES``: its children give ``cells``, its renumbered
+    boundary ``macro_multiplier`` and the edges it keeps the skeleton, the
+    interior edges on the macros' boundaries.  ``skeleton_edges`` lists
+    them by edge midpoint, y then x, which keeps a macro's eight skeleton
+    edges within about 2n of each other.  ``macro_multiplier[b, M]`` is
+    the skeleton number of position 4 + b of macro M, or the number of
+    skeleton edges if it has none, and ``skeleton_slots[:, i]`` the two
+    flat (8, num_macros) indices of skeleton edge i.
 
     ``levels`` holds the ``CondensationLevel``s stacked on the macros,
     as many as leave a band of at most ``LEVEL_WORK`` multiply-adds: none
     up to n = 32, two at n = 64.  The coarsest blocks (the macros when
     there is no level) couple the edges left, the coarse skeleton, within
-    ``bandwidth`` of each other, so its matrix is a band: entry k goes to
-    the flat index ``band_slot[k]`` (ascending) of LAPACK's upper band
-    storage, a Fortran-ordered (bandwidth + 1, num_coarse) array.  Each
-    pair of skeleton positions of a coarsest block whose entry lies in
-    the upper band adds the flat entry ``pair_slot[j]`` of the upper
-    triangles of the blocks' (num_blocks, b, b) Schur complements to band
-    entry ``pair_pos[j]``.  ``owner_slot[E]`` is the slot of edge E in
-    its lowest-numbered cell.  ``minv`` is exactly symmetric, so
+    ``bandwidth`` of each other, so its matrix is a band.  Each pair of
+    skeleton positions of a coarsest block whose entry lies in the upper
+    band adds the flat entry ``pair_slot[j]`` of the upper triangles of
+    the blocks' (num_blocks, b, b) Schur complements to the flat entry
+    ``pair_pos[j]`` of LAPACK's upper band storage, a Fortran-ordered
+    (bandwidth + 1, num_coarse) array.  ``owner_slot[E]`` is the slot of
+    edge E in its lowest-numbered cell.  ``minv`` is exactly symmetric, so
     ``minv[l]`` holds the columns l of the blocks.
     """
 
@@ -240,7 +237,6 @@ class HybridOperators:
     owner_slot: np.ndarray
     skeleton_slots: np.ndarray
     macro_multiplier: np.ndarray
-    band_slot: np.ndarray
     bandwidth: int
     levels: tuple
 
@@ -260,25 +256,30 @@ def hybrid_operators(forms: AssembledForms) -> HybridOperators:
     m = np.einsum("ckl,cl->ck", minv, signs)
     v = signs * m
     beta = v.sum(axis=1)
-    interior = np.ones(ne + 1, dtype=bool)
+    interior = np.ones(ne, dtype=bool)
     interior[mesh.boundary_edges] = False
-    interior[ne] = False   # index -1: no edge
     inside = interior[cell_edges].astype(float)
     mask = inside[:, :, None] * inside[:, None, :]
     ssm = signs[:, :, None] * minv * signs[:, None, :] * mask
     ssm += np.eye(3) * (1.0 - inside)[:, None, :]
     vv = v[:, :, None] * v[:, None, :] * mask
 
-    # Macro M = J side + I holds the squares (2I + i, 2J + j) with
-    # q = 2j + i; square (a, b) holds the cells 2(b n + a) + t.
-    side = (n + 1) // 2
-    nm = side * side
-    macro_i, macro_j = np.arange(nm) % side, np.arange(nm) // side
-    sq_i = 2 * macro_i + np.array([0, 1, 0, 1])[:, None]
-    sq_j = 2 * macro_j + np.array([0, 0, 1, 1])[:, None]
-    t = np.arange(2)[:, None, None]
-    cells = np.where((sq_i < n) & (sq_j < n), 2 * (sq_j * n + sq_i) + t,
-                     nc).ravel()
+    # The interior edges, numbered by midpoint, y then x; a boundary edge
+    # takes their count, no edge.
+    edges = np.flatnonzero(interior)
+    midpoint = np.rint(2 * n * mesh.edge_midpoints[edges]).astype(int)
+    edges = edges[np.lexsort((midpoint[:, 0], midpoint[:, 1]))]
+    number = np.full(ne, edges.size)
+    number[edges] = np.arange(edges.size)
+    # The macros are the quadtree's first merge, of the n x n squares:
+    # square (a, b), number b n + a, holds the cells 2(b n + a) + t and
+    # lists its lower triangle's bottom and right sides, then its upper
+    # one's top and left.
+    macros, coarse, side, sides = _merge(
+        number[cell_edges[:, :2]].reshape(-1, 4), edges.size,
+        np.array([[0], [2], [3], [1]]), n, MACRO_SIDES[:, [0, 1, 3, 2]])
+    cells = np.minimum(2 * macros.children[:, :4].T
+                       + np.arange(2)[:, None, None], nc).ravel()
     real = cells < nc
     positions = np.empty(nc, dtype=np.intp)
     positions[cells[real]] = np.flatnonzero(real)
@@ -288,26 +289,15 @@ def hybrid_operators(forms: AssembledForms) -> HybridOperators:
         padded = np.concatenate([a, np.full((1,) + a.shape[1:], fill)])
         return np.moveaxis(padded[cells], 0, -1).copy()
 
-    side_edges = by_position(cell_edges, -1)[:2].reshape(4, 4, nm)
-    position_edge = np.full((12, nm), -1)
-    for q, pos in enumerate(MACRO_SIDES):
-        position_edge[pos] = np.maximum(position_edge[pos], side_edges[:, q])
-    boundary = position_edge[4:]
-    skeleton = np.unique(boundary[interior[boundary]])
-    midpoint = np.rint(2 * n * mesh.edge_midpoints[skeleton]).astype(int)
-    skeleton = skeleton[np.lexsort((midpoint[:, 0], midpoint[:, 1]))]
-    nsk = skeleton.size
-    number = np.full(ne + 1, nsk)
-    number[skeleton] = np.arange(nsk)
-    macro_multiplier = number[boundary]
+    skeleton, size = edges[macros.kept], macros.kept.size
+    macro_multiplier = coarse.T.copy()
 
     # Merge blocks 2x2, macros first, while the band left is costly.
-    levels, coarse = [], macro_multiplier.T
-    sides, side, size = _MACRO_BOUNDARY_SIDES, side, nsk
+    levels = []
     while size * (_bandwidth(coarse, size) + 1) ** 2 > LEVEL_WORK:
-        level, coarse, side = _merge(coarse, size, sides, side)
+        level, coarse, side, sides = _merge(coarse, size, sides, side,
+                                            _CHILD_SIDES)
         levels.append(level)
-        sides = np.arange(coarse.shape[1]).reshape(4, -1)
         size = level.kept.size
 
     # Every pair of skeleton positions of a coarsest block whose entry
@@ -323,8 +313,7 @@ def hybrid_operators(forms: AssembledForms) -> HybridOperators:
     row, col = row[keep], col[keep]
     pair_slot = (np.arange(nb)[:, None, None] * b * b + upper).ravel()[keep]
     bandwidth = _bandwidth(coarse, size)
-    band_slot, pair_pos = np.unique(
-        col * (bandwidth + 1) + bandwidth + row - col, return_inverse=True)
+    pair_pos = col * (bandwidth + 1) + bandwidth + row - col
 
     # The slot of local edge k of position p is k P + p.
     _, first = np.unique(cell_edges.ravel(), return_index=True)
@@ -333,8 +322,8 @@ def hybrid_operators(forms: AssembledForms) -> HybridOperators:
     arrays = (cells, positions, by_position(signs), by_position(minv),
               by_position(m), beta, by_position(v), by_position(inside),
               by_position(ssm, np.eye(3)), by_position(vv), skeleton,
-              pair_pos, pair_slot, owner_slot, _pairs(macro_multiplier, nsk),
-              macro_multiplier, band_slot)
+              pair_pos, pair_slot, owner_slot,
+              _pairs(macro_multiplier, skeleton.size), macro_multiplier)
     for a in arrays:
         a.flags.writeable = False
     return HybridOperators(*arrays, bandwidth, tuple(levels))
@@ -357,11 +346,14 @@ def _bandwidth(number, size):
     return int(np.max(high - low, initial=0))
 
 
-def _merge(number, size, sides, side):
+def _merge(number, size, sides, side, table):
     """Merge a side x side grid of blocks 2x2, given the numbers of their
-    boundary positions in a skeleton of ``size`` edges and their sides.
-    Returns the ``CondensationLevel``, the merged blocks' boundary numbers
-    in the skeleton left and the merged grid's side."""
+    boundary positions in a skeleton of ``size`` edges, the positions of
+    their bottom, top, left and right sides (4, e) and ``table``, the
+    groups of e positions the children's sides take in the merged block
+    (``_CHILD_SIDES``).  Returns the ``CondensationLevel``, the merged
+    blocks' boundary numbers in the skeleton left, the merged grid's side
+    and the merged blocks' sides."""
     e = sides.shape[1]
     half = (side + 1) // 2
     nb = half * half
@@ -371,7 +363,7 @@ def _merge(number, size, sides, side):
     children = np.where((child_i < side) & (child_j < side),
                         child_j * side + child_i, side * side)
     child_positions = np.empty((4, 4 * e), dtype=np.intp)
-    child_positions[:, sides] = _CHILD_SIDES[:, :, None] * e + np.arange(e)
+    child_positions[:, sides] = table[:, :, None] * e + np.arange(e)
     # A cross edge is listed by both of its children, or by one when the
     # other is a phantom (a row of ``size``, no edge).
     padded = np.vstack([number, np.full(number.shape[1], size)])
@@ -384,6 +376,10 @@ def _merge(number, size, sides, side):
     renumber = np.full(size + 1, kept.size)
     renumber[kept] = np.arange(kept.size)
     boundary = renumber[boundary]
+    # A merged block's bottom is its lower children's bottoms, its top
+    # the upper children's tops, its left and right sides likewise.
+    halves = np.array([[0, 1], [2, 3], [0, 2], [1, 3]])[:, :, None]
+    merged_sides = child_positions[halves, sides[:, None]].reshape(4, -1) - c
 
     # Each entry of a merged block sums those of at most two children:
     # indices into its children's Schur blocks, side by side and followed
@@ -408,7 +404,7 @@ def _merge(number, size, sides, side):
               band, first[:c, c:].ravel(), first[c:, c:].ravel())
     for a in arrays:
         a.flags.writeable = False
-    return CondensationLevel(*arrays), boundary, half
+    return CondensationLevel(*arrays), boundary, half, merged_sides
 
 
 @dataclass(frozen=True)
@@ -612,10 +608,8 @@ def factorize(system: SaddleSystem) -> Factorization:
     size = hybrid.bandwidth + 1
     nsk = (hybrid.levels[-1].kept.size if hybrid.levels
            else hybrid.skeleton_edges.size)
-    band = np.zeros(size * nsk)
-    band[hybrid.band_slot] = np.bincount(
-        hybrid.pair_pos, minlength=hybrid.band_slot.size,
-        weights=blocks.ravel()[hybrid.pair_slot])
+    band = np.bincount(hybrid.pair_pos, minlength=size * nsk,
+                       weights=blocks.ravel()[hybrid.pair_slot])
     band, info = _PBTRF(band.reshape(size, nsk, order="F"), overwrite_ab=1)
     if info != 0:
         raise SingularSystemError(f"band Cholesky failed at pivot {info}")

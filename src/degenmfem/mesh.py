@@ -39,8 +39,7 @@ class Mesh:
         Edge indices; local edge k connects local vertices k and (k+1)%3.
     cell_edge_signs : (nc, 3) int array
         +1 where the global edge normal is outward for the cell, else -1.
-    edge_normals, edge_midpoints : (ne, 2) float arrays
-    edge_lengths : (ne,) float array
+    edge_midpoints : (ne, 2) float array
     boundary_edges : sorted int array of edges on the domain boundary
     cell_areas, cell_barycenters : per-cell geometry
     """
@@ -51,8 +50,6 @@ class Mesh:
     cells: np.ndarray
     cell_edges: np.ndarray
     cell_edge_signs: np.ndarray
-    edge_normals: np.ndarray
-    edge_lengths: np.ndarray
     edge_midpoints: np.ndarray
     boundary_edges: np.ndarray
     cell_areas: np.ndarray
@@ -130,9 +127,9 @@ def build_structured_unit_square(n: int) -> Mesh:
     # cell (boundary edges have only one), i.e. of the edge's first
     # occurrence in the cell-major ``cell_edges``.  Signs follow.
     _, first = np.unique(cell_edges.ravel(), return_index=True)
-    edge_normals = outward.reshape(-1, 2)[first]
+    normals = outward.reshape(-1, 2)[first]
 
-    dots = np.einsum("ckd,ckd->ck", outward, edge_normals[cell_edges])
+    dots = np.einsum("ckd,ckd->ck", outward, normals[cell_edges])
     cell_edge_signs = np.where(dots > 0.0, 1, -1).astype(np.int64)
 
     boundary_edges = np.flatnonzero(
@@ -140,7 +137,6 @@ def build_structured_unit_square(n: int) -> Mesh:
 
     ev = vertices[edges]
     edge_midpoints = 0.5 * (ev[:, 0, :] + ev[:, 1, :])
-    edge_lengths = np.linalg.norm(ev[:, 1, :] - ev[:, 0, :], axis=1)
 
     cross = (
         (pts[:, 1, 0] - pts[:, 0, 0]) * (pts[:, 2, 1] - pts[:, 0, 1])
@@ -150,9 +146,8 @@ def build_structured_unit_square(n: int) -> Mesh:
     cell_barycenters = pts.mean(axis=1)
 
     arrays = (
-        vertices, edges, cells, cell_edges, cell_edge_signs, edge_normals,
-        edge_lengths, edge_midpoints, boundary_edges, cell_areas,
-        cell_barycenters,
+        vertices, edges, cells, cell_edges, cell_edge_signs, edge_midpoints,
+        boundary_edges, cell_areas, cell_barycenters,
     )
     for a in arrays:
         a.flags.writeable = False

@@ -73,8 +73,9 @@ def accumulated_error_bound(delta: float, tau: float,
 
 
 def _ceil_guarded(value: float) -> int:
-    # Guard one-ulp overshoot so exact integers are not bumped up.
-    return int(math.ceil(value - 1e-9 * max(1.0, abs(value))))
+    # Guard one-ulp overshoot so exact integers are not bumped up; at
+    # least 1, which meets both selections' rules when the value is tiny.
+    return max(1, int(math.ceil(value - 1e-9 * max(1.0, abs(value)))))
 
 
 def delta_closed_form(tol: float, tau: float, spec: NonlinearitySpec) -> float:

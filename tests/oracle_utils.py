@@ -6,9 +6,9 @@ implementation's edge-midpoint rule.  The saddle-system oracles build
 the full block matrix and the skeleton matrix from an assembled system,
 and solve with any flux right-hand side.  The theory oracles state the
 convergence theorem's one-iteration bound, the regularization's
-Lipschitz constants and gap bound, an RT0 interpolant and the
-discretization error of a reference series; no run of the package
-calls them.
+Lipschitz constants and gap bound, the edges' lengths and normals, an
+RT0 interpolant and the discretization error of a reference series; no
+run of the package calls them.
 """
 
 from dataclasses import replace
@@ -201,6 +201,21 @@ def regularization_gap_bound(spec):
     return (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha)) * eps**alpha
 
 
+def edge_geometry(mesh):
+    """Each edge's length and its global unit normal, the outward normal
+    of its lowest-numbered cell: from that cell into the other one, or out
+    of the domain."""
+    ends = mesh.vertices[mesh.edges]
+    lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+    normals = np.empty((mesh.num_edges, 2))
+    for c in reversed(range(mesh.num_cells)):   # the lowest cell writes last
+        pts = mesh.vertices[mesh.cells[c]]
+        for k in range(3):
+            tx, ty = pts[(k + 1) % 3] - pts[k]
+            normals[mesh.cell_edges[c, k]] = (ty, -tx) / np.hypot(tx, ty)
+    return lengths, normals
+
+
 def interpolate_flux(mesh, vector_func):
     """Interpolate a vector field into RT0 via edge-midpoint normal fluxes.
 
@@ -212,8 +227,8 @@ def interpolate_flux(mesh, vector_func):
     vx, vy = vector_func(mx, my)
     vx = np.broadcast_to(np.asarray(vx, dtype=float), (mesh.num_edges,))
     vy = np.broadcast_to(np.asarray(vy, dtype=float), (mesh.num_edges,))
-    normal_component = vx * mesh.edge_normals[:, 0] + vy * mesh.edge_normals[:, 1]
-    return normal_component * mesh.edge_lengths
+    lengths, normals = edge_geometry(mesh)
+    return (vx * normals[:, 0] + vy * normals[:, 1]) * lengths
 
 
 def discretization_error(mesh, reference_results):

@@ -31,6 +31,31 @@ def test_theory_with_eps(capsys):
     assert "regularized-L value = 50" in out
 
 
+# Both selections round a value in (0, 1e-9] up to 1, not 0.
+@pytest.mark.parametrize("argv,line", [
+    (["theory", "--tol", "1e12", "--tau", "1", "--alpha", "0.1"],
+     "L = ceil(1/delta)   = 1\n"),
+    (["theory", "--tol", "1e27", "--tau", "1"], "L = ceil(1/delta)   = 1\n"),
+    (["theory", "--tol", "1e-3", "--tau", "0.05", "--eps", "1e18"],
+     "regularized-L value = 1  (eps = 1e+18)\n"),
+], ids=["delta-alpha-0.1", "delta", "regularized"])
+def test_theory_rounds_L_up_to_one(argv, line, capsys):
+    assert _run(argv) == 0
+    assert line in capsys.readouterr().out
+
+
+# A selected L that rounds to less than 1 runs with L = 1; with no --L
+# given, neither solve divides by zero nor rejects its own L.
+@pytest.mark.parametrize("flags", [["--scheme", "hl"],
+                                   ["--scheme", "lreg", "--eps", "1e18"]],
+                         ids=["hl", "lreg"])
+def test_solve_selects_L_of_one(tmp_path, capsys, flags):
+    argv = ["solve", *flags, "--n", "2", "--tau", "0.25", "--steps", "1",
+            "--tol", "1e300", "--out", str(tmp_path)]
+    assert _run(argv) == 0
+    assert "L = 1\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

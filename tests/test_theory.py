@@ -75,6 +75,8 @@ def test_per_iteration_accumulation():
         (1e-3, 0.05, 0.055, 19),
         (1e-4, 0.025, 0.020, 50),
         (1e-5, 0.0125, 0.0075, 134),
+        # 1/delta = 6.7e-10 rounds up to L = 1, not 0.
+        (1e27, 1.0, 1.5e9, 1),
     ],
 )
 def test_select_delta_rows(tol, tau, delta_approx, big_l):
@@ -110,7 +112,9 @@ def test_select_delta_validation():
         select_delta(1e-160, 1e-160, NonlinearitySpec(alpha=0.01))
 
 
-@pytest.mark.parametrize("eps,big_l", [(1e-3, 16), (1e-4, 50), (1e-5, 159)])
+# eps^(alpha-1) / 2 = 5e-10 at eps = 1e18 rounds up to 1, not 0.
+@pytest.mark.parametrize("eps,big_l", [(1e-3, 16), (1e-4, 50), (1e-5, 159),
+                                       (1e18, 1)])
 def test_select_L_regularized(eps, big_l):
     assert select_L_regularized(eps, NonlinearitySpec(alpha=0.5)) == big_l
 
