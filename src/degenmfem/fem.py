@@ -24,8 +24,9 @@ functional.
 
 ``AssembledForms`` is immutable after assembly and safe to share between
 threads; assembly itself is single-threaded.  It caches the mesh-only
-operators of the hybridized system, which ``linear_system`` defines and
-builds on first use.
+operators of the hybridized system and the Dirichlet functional's terms
+of its per-call solve, which ``linear_system`` defines and builds on
+first use.
 """
 
 from dataclasses import dataclass
@@ -79,6 +80,12 @@ class AssembledForms:
         """``linear_system.hybrid_operators``, built once per mesh."""
         from degenmfem.linear_system import hybrid_operators
         return hybrid_operators(self)
+
+    @cached_property
+    def dirichlet_terms(self) -> tuple:
+        """``linear_system.dirichlet_terms``, built once per forms."""
+        from degenmfem.linear_system import dirichlet_terms
+        return dirichlet_terms(self)
 
 
 def assemble_forms(mesh: Mesh, g_dirichlet=0.0) -> AssembledForms:

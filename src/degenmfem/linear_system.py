@@ -43,8 +43,10 @@ once (the Cholesky factors of the crosses, one block-diagonal band, then
 their Schur complements onto the blocks' boundaries).  The macros are
 the same merge of the mesh's squares.  Each level halves the skeleton
 left and keeps its bandwidth; levels are stacked while its band would
-cost more than ``LEVEL_WORK``: none up to n = 32, two at n = 64.  Odd
-block grids are completed by phantom blocks, identities, that decouple.
+cost more than ``LEVEL_WORK`` and a level saves more of the band's work
+than its own dense work costs (``LEVEL_COST``): none up to n = 32, two
+at n = 64 and 65, three at n = 96 and 128.  Odd block grids are
+completed by phantom blocks, identities, that decouple.
 The skeleton left on the coarsest blocks' boundaries (the macros' when
 there is no level) is factorized by LAPACK's band Cholesky (``pbtrf``)
 whatever the weight, summed by one ``bincount`` into the storage of its
@@ -56,12 +58,25 @@ The mesh-only operators of the reduction (``HybridOperators``, with the
 macro numbering ``MACRO_SIDES`` and the ``CondensationLevel``s) are
 built once per mesh and cached by the forms' ``hybrid``.
 
+Newton's weights change every iteration, but in part of the mesh only.
+So ``assemble`` and ``factorize`` take the previous iteration's system
+and factorization (``previous``) and redo only the macros whose den
+changed and the level blocks over them, into the previous arrays, which
+the new system and factorization take over; the coarse band is summed
+and factorized in full.  A macro's arrays depend on the weights only
+through its den, and a level block's only through its children's, so
+the bytes are those of a fresh build: a factorization modified where
+its matrix changed (Davis-Hager 1999), on the independent subtrees of
+the quadtree (Duff-Reid 1983).
+
 A solve takes rhs_scalar alone and one of two forms.  Newton's weights
 change every iteration, so its solve runs per call: condense the
 right-hand side macro by macro, solve on the skeleton, recover the
-crosses, the diagonals and the cells.  A constant weight (the L-type
-schemes, one system for a whole run) gets that solve precomputed at
-assembly as sparse maps over x = [rhs_scalar; lambda_s; 0; 1]:
+crosses, the diagonals and the cells.  The Dirichlet functional's terms
+of it are the same for every call and are built once per forms
+(``dirichlet_terms``, cached by the forms).  A constant weight (the
+L-type schemes, one system for a whole run) gets that solve precomputed
+at assembly as sparse maps over x = [rhs_scalar; lambda_s; 0; 1]:
 lambda_s solves the skeleton system with right-hand side R x and u = S x;
 the solve returns x with u, and ``flux`` forms q = F x from it.
 The products call scipy's CSR kernel without the dispatch of ``@``,
@@ -77,8 +92,11 @@ is kept per mesh.
 
 Each factorization keeps the system it was built from, so the step loop
 rejects one built for another (L, tau).  A ``Factorization`` is
-immutable; solves are pure functions of (factorization, right-hand
-side) and repeated solves are bit-identical.
+immutable, with one exception: one handed to ``factorize`` as
+``previous`` is consumed, as is a system handed to ``assemble``, and
+neither is to be used again.  Solves are pure functions of
+(factorization, right-hand side) and repeated solves are
+bit-identical.
 """
 
 from dataclasses import dataclass, field, replace
@@ -127,6 +145,13 @@ _CHILD_SIDES = np.array([[4, 0, 8, 2],
 # At n = 32 (3.9e6) one level saved 0.1 of 0.5 ms, but every mesh up to
 # n = 32, where the paper's tables run, keeps the band and its bits.
 LEVEL_WORK = 2.0e7
+# ... and only while the level saves more of the band's multiply-adds than
+# its own dense work costs, about this many times c^3 per block for its
+# cross of c = 4e positions, in the same units.  Newton's factorization
+# took 7.5 ms with three levels and 9.0 ms with four at n = 96, and 15.8
+# and 16.0 ms at n = 128, where five took 28 ms; the rule stops both at
+# three, and keeps two at n = 57 to 72.
+LEVEL_COST = 16
 
 _PBTRF, _PBTRS, _TBTRS = get_lapack_funcs(("pbtrf", "pbtrs", "tbtrs"),
                                           dtype=np.float64)
@@ -207,9 +232,9 @@ class HybridOperators:
     skeleton edges if it has none, and ``skeleton_slots[:, i]`` the two
     flat (8, num_macros) indices of skeleton edge i.
 
-    ``levels`` holds the ``CondensationLevel``s stacked on the macros,
-    as many as leave a band of at most ``LEVEL_WORK`` multiply-adds: none
-    up to n = 32, two at n = 64.  The coarsest blocks (the macros when
+    ``levels`` holds the ``CondensationLevel``s stacked on the macros
+    (``LEVEL_WORK``, ``LEVEL_COST``): none up to n = 32, two at n = 64.
+    The coarsest blocks (the macros when
     there is no level) couple the edges left, the coarse skeleton, within
     ``bandwidth`` of each other, so its matrix is a band.  Each pair of
     skeleton positions of a coarsest block whose entry lies in the upper
@@ -292,13 +317,20 @@ def hybrid_operators(forms: AssembledForms) -> HybridOperators:
     skeleton, size = edges[macros.kept], macros.kept.size
     macro_multiplier = coarse.T.copy()
 
-    # Merge blocks 2x2, macros first, while the band left is costly.
+    # Merge blocks 2x2, macros first, while the band left is costly and a
+    # level saves more of it than it costs.
     levels = []
-    while size * (_bandwidth(coarse, size) + 1) ** 2 > LEVEL_WORK:
-        level, coarse, side, sides = _merge(coarse, size, sides, side,
-                                            _CHILD_SIDES)
+    work = size * (_bandwidth(coarse, size) + 1) ** 2
+    while work > LEVEL_WORK:
+        level, merged, merged_side, merged_sides = _merge(
+            coarse, size, sides, side, _CHILD_SIDES)
+        nb, c = level.cross.shape
+        left = level.kept.size * (_bandwidth(merged, level.kept.size) + 1) ** 2
+        if work - left <= LEVEL_COST * c ** 3 * nb:
+            break
         levels.append(level)
-        size = level.kept.size
+        coarse, side, sides = merged, merged_side, merged_sides
+        size, work = level.kept.size, left
 
     # Every pair of skeleton positions of a coarsest block whose entry
     # (row <= col) lies in the upper band adds the entry of the upper
@@ -431,7 +463,9 @@ class SaddleSystem:
     sides, and ``cross_pivot`` (4, num_macros) and ``cross_rows``
     (4, 12, num_macros) hold the macros' pivots of the inner cross and
     their rows, divided by the pivot, as they were eliminated.
-    ``operators`` is set for a constant weight only.
+    ``operators`` is set for a constant weight only.  A system handed to
+    ``assemble`` as ``previous`` is consumed: the new system takes over
+    its arrays but ``weights`` and ``den``, and rewrites them.
     """
 
     forms: AssembledForms
@@ -456,8 +490,10 @@ class SkeletonCholesky:
 
     ``factors`` holds, per level, the upper Cholesky factors of its
     blocks' crosses, one block-diagonal band in LAPACK's storage
-    (4e, 4e num_blocks), and W = U^{-T} C (num_blocks, 4e, 8e), C being
-    the crosses' couplings to the blocks' boundaries; ``band`` is the
+    (4e, 4e num_blocks), W = U^{-T} C (num_blocks, 4e, 8e), C being
+    the crosses' couplings to the blocks' boundaries, and the blocks' Schur
+    complements on their boundaries (num_blocks, 8e, 8e), the next level's
+    input, kept for a factorization that takes them over; ``band`` is the
     upper band Cholesky factor of the coarse skeleton's matrix.  It has
     ``shape``, ``solve`` and the factors ``L`` and ``U``, sparse matrices
     with every stored nonzero entry, built on each access: row i of U is
@@ -477,7 +513,7 @@ class SkeletonCholesky:
         # Each level's factor rows in the skeleton numbers of its edges.
         number = np.arange(self.shape[0])
         rows, cols, vals = [], [], []
-        for level, (cross_u, w) in zip(self.levels, self.factors):
+        for level, (cross_u, w, _) in zip(self.levels, self.factors):
             c = level.cross.shape[1]
             cross = np.append(number, -1)[level.cross]
             number = number[level.kept]
@@ -505,7 +541,7 @@ class SkeletonCholesky:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A^{-1} rhs: the levels forward, the band, the levels back."""
         forward = []
-        for level, (cross_u, w) in zip(self.levels, self.factors):
+        for level, (cross_u, w, _) in zip(self.levels, self.factors):
             y = _TBTRS(cross_u, np.append(rhs, 0.0)[level.cross].reshape(
                 -1, 1), trans="T")[0].reshape(level.cross.shape)
             forward.append((level, cross_u, w, rhs.size, y))
@@ -527,7 +563,10 @@ class SkeletonCholesky:
 @dataclass(frozen=True)
 class Factorization:
     """The factors of a system's reduced matrix, which they stay tied
-    to.  ``lu`` is the name the benchmark's tracer reads."""
+    to.  ``lu`` is the name the benchmark's tracer reads.  One handed to
+    ``factorize`` as ``previous`` is consumed: the new factorization takes
+    over its levels' arrays and rewrites them, and its ``system`` keeps
+    the den they were built from until then."""
 
     lu: SkeletonCholesky = field(repr=False)
     system: SaddleSystem = field(repr=False)
@@ -545,12 +584,16 @@ _SECOND_SIDE = tuple(np.array([np.argwhere(MACRO_SIDES.T == p)[1]
                                for p in range(4)]).T)
 
 
-def assemble(forms: AssembledForms, weights, tau: float) -> SaddleSystem:
+def assemble(forms: AssembledForms, weights, tau: float,
+             previous: SaddleSystem | None = None) -> SaddleSystem:
     """Assemble the reduced system for per-cell weights d_T and step tau.
 
     Accepts a scalar weight (broadcast to all cells), whose system also
     gets its ``SolveOperators``, or a per-cell array; entries must be
-    finite and nonnegative.
+    finite and nonnegative.  A ``previous`` system with per-cell weights
+    on the same forms and tau is consumed when the weights are per-cell:
+    only the macros whose den changed are condensed again, into its
+    arrays, which the new system takes over.  Any other is ignored.
     """
     if not np.isfinite(tau) or tau <= 0.0:
         raise ValueError(f"tau must be positive and finite, got {tau}")
@@ -566,7 +609,49 @@ def assemble(forms: AssembledForms, weights, tau: float) -> SaddleSystem:
     hybrid = forms.hybrid
     den = np.append(weights * forms.scalar_mass + tau * hybrid.beta,
                     1.0)[hybrid.cells]
-    local = (hybrid.ssm - (tau / den) * hybrid.vv).reshape(3, 3, 2, 4, -1)
+    den.flags.writeable = False
+    if constant or not _same_kind(previous, forms, tau):
+        arrays = _condense_macros(hybrid, den, tau, slice(None))
+        for a in arrays:
+            a.flags.writeable = False
+    else:
+        # Every array depends on the weights only through den.
+        changed = np.flatnonzero((den != previous.den).reshape(8, -1)
+                                 .any(axis=0))
+        arrays = (previous.reduced, previous.pivot, previous.coupling,
+                  previous.cross_pivot, previous.cross_rows)
+        for i, (a, new) in enumerate(zip(arrays, _condense_macros(
+                hybrid, den, tau, changed))):
+            _write(a, changed if i == 0 else (..., changed), new)
+    system = SaddleSystem(forms, weights, float(tau), arrays[0], den,
+                          *arrays[1:])
+    if constant:
+        system = replace(system, operators=_solve_operators(system))
+    return system
+
+
+def _same_kind(previous: SaddleSystem | None, forms, tau) -> bool:
+    """Whether ``previous`` has per-cell weights on ``forms`` and tau."""
+    return (previous is not None and previous.forms is forms
+            and previous.tau == tau and previous.operators is None)
+
+
+def _write(a: np.ndarray, index, values):
+    """a[index] = values into a read-only array of a consumed system or
+    factorization, which owns its memory or views a writeable base."""
+    a.flags.writeable = True
+    a[index] = values
+    a.flags.writeable = False
+
+
+def _condense_macros(hybrid: HybridOperators, den, tau, index):
+    """The macro condensation of the macros ``index`` (an index into the
+    last axis of a (…, num_macros) array): ``SaddleSystem``'s reduced,
+    pivot, coupling, cross_pivot and cross_rows for them."""
+    shape = (3, 3, 2, 4, -1)
+    local = (hybrid.ssm.reshape(shape)[..., index]
+             - (tau / den.reshape(shape[2:])[..., index])
+             * hybrid.vv.reshape(shape)[..., index])
     nm = local.shape[-1]
     # Each square's diagonal couples only to the square's four sides.
     pivot = local[2, 2, 0] + local[2, 2, 1]
@@ -584,27 +669,48 @@ def assemble(forms: AssembledForms, weights, tau: float) -> SaddleSystem:
     reduced = macro[4:, 4:].transpose(2, 0, 1).copy()
     cross_pivot = macro[range(4), range(4)]
     cross_rows = macro[:4] / cross_pivot[:, None]
-    coupling = coupling.copy()
-    # The work arrays are dead; a constant weight's operator build, the
-    # peak of its assembly, runs without them.
-    del macro, local, sides
-    for a in (reduced, den, pivot, coupling, cross_pivot, cross_rows):
-        a.flags.writeable = False
-    system = SaddleSystem(forms, weights, float(tau), reduced, den, pivot,
-                          coupling, cross_pivot, cross_rows)
-    if constant:
-        system = replace(system, operators=_solve_operators(system))
-    return system
+    return reduced, pivot, coupling.copy(), cross_pivot, cross_rows
 
 
-def factorize(system: SaddleSystem) -> Factorization:
+def factorize(system: SaddleSystem,
+              previous: Factorization | None = None) -> Factorization:
     """Factorize the reduced matrix: the crosses of each condensation
-    level, then the band Cholesky of the coarse skeleton."""
+    level, then the band Cholesky of the coarse skeleton.
+
+    A ``previous`` factorization of a system with per-cell weights on the
+    same forms and tau, ``system``'s too, is consumed: only the level
+    blocks over a macro whose den changed are merged and factorized again,
+    into its arrays, which the new factorization takes over.  Any other is
+    ignored.
+    """
     hybrid = system.forms.hybrid
     blocks, factors = system.reduced, []
-    for level in hybrid.levels:
-        blocks, factor = _condense_level(level, blocks)
-        factors.append(factor)
+    reuse = (bool(hybrid.levels) and previous is not None
+             and system.operators is None
+             and _same_kind(previous.system, system.forms, system.tau))
+    if reuse:
+        changed = (system.den != previous.system.den).reshape(8, -1).any(
+            axis=0)
+    for i, level in enumerate(hybrid.levels):
+        if not reuse:
+            factors.append(_condense_level(level, blocks, slice(None)))
+        else:
+            # A block changes with any of its children; the last two
+            # children numbers are a phantom and the zero block.
+            changed = np.append(changed, [False, False])[level.children].any(
+                axis=1)
+            index = np.flatnonzero(changed)
+            factors.append(previous.lu.factors[i])
+            band, w, schur = factors[-1]
+            c = level.cross.shape[1]
+            if index.size:
+                new_band, new_w, new_schur = _condense_level(level, blocks,
+                                                             index)
+                _write(band, (slice(None), (index[:, None] * c
+                                            + np.arange(c)).ravel()), new_band)
+                _write(w, index, new_w)
+                _write(schur, index, new_schur)
+        blocks = factors[-1][2]
     size = hybrid.bandwidth + 1
     nsk = (hybrid.levels[-1].kept.size if hybrid.levels
            else hybrid.skeleton_edges.size)
@@ -617,18 +723,22 @@ def factorize(system: SaddleSystem) -> Factorization:
         hybrid.levels, factors, band, hybrid.skeleton_edges.size), system)
 
 
-def _condense_level(level: CondensationLevel, blocks):
+def _condense_level(level: CondensationLevel, blocks, index):
     """Merge the Schur blocks (num_children, 4e, 4e) of the level below
-    2x2 and eliminate each merged block's cross: returns the merged
-    blocks' Schur complements on their boundaries, (num_blocks, 8e, 8e),
-    and the level's factor (the crosses' band factor and W)."""
-    nb, c = level.cross.shape
+    2x2 into the level's blocks ``index`` and eliminate each merged
+    block's cross: returns the level's factor of those blocks, the
+    crosses' band factor, W and the merged blocks' Schur complements on
+    their boundaries, (num_blocks, 8e, 8e).  Each block's values are the
+    same whichever others are merged with it."""
+    children = level.children[index]
+    nb, c = children.shape[0], level.cross.shape[1]
     width = blocks.shape[1]
     # A phantom child is decoupled, an identity block, and the last
     # child of every block is a zero block.
-    padded = np.concatenate([blocks, np.eye(width)[None],
-                             np.zeros((1, width, width))])
-    values = padded[level.children].reshape(nb, -1)
+    values = blocks[np.minimum(children, len(blocks) - 1)]
+    values[children == len(blocks)] = np.eye(width)
+    values[:, -1] = 0.0
+    values = values.reshape(nb, -1)
     # take keeps each block's row contiguous, where values[:, index]
     # would interleave the blocks.
     band = np.take(values, level.band_source[0], axis=1)
@@ -643,7 +753,7 @@ def _condense_level(level: CondensationLevel, blocks):
     schur = np.take(values, level.schur_source, axis=1).reshape(nb, 2 * c,
                                                                 2 * c)
     schur -= np.matmul(w.transpose(0, 2, 1).copy(), w)
-    return schur, (band, w)
+    return band, w, schur
 
 
 def solve(fact: Factorization, rhs_scalar):
@@ -690,10 +800,9 @@ def _solve_hybrid(fact: Factorization, rhs_scalar):
     recover u and q cell by cell."""
     system = fact.system
     hybrid = system.forms.hybrid
-    rho = np.zeros(hybrid.signs.shape)
-    rho.ravel()[hybrid.owner_slot] = system.forms.dirichlet_functional
     condensed = _condense(system, _batch(np.append(rhs_scalar, 0.0)
-                                         [hybrid.cells]), _batch(rho))
+                                         [hybrid.cells]),
+                          system.forms.dirichlet_terms)
     boundary_rhs = condensed[-1][4:].ravel()
     first, second = hybrid.skeleton_slots
     skeleton = fact.lu.solve(boundary_rhs[first] + boundary_rhs[second])
@@ -708,19 +817,39 @@ def _batch(a):
     return a.reshape(a.shape[:-1] + (8, 1, -1))
 
 
-def _condense(system: SaddleSystem, rhs_scalar, rho):
+def dirichlet_terms(forms: AssembledForms):
+    """The forms' Dirichlet functional rho by slot as every per-call
+    solve's flux side: ``_rho_terms`` of it, batched as in ``_condense``,
+    built once per forms and cached by the forms' ``dirichlet_terms``."""
+    hybrid = forms.hybrid
+    rho = np.zeros(hybrid.signs.shape)
+    rho.ravel()[hybrid.owner_slot] = forms.dirichlet_functional
+    terms = _rho_terms(hybrid, _batch(rho))
+    for a in terms:
+        a.flags.writeable = False
+    return terms
+
+
+def _rho_terms(hybrid: HybridOperators, rho):
+    """m_rho = M_T^{-1} rho_T, s_T * m_rho and its sum over the slots of
+    each cell, for a batch rho by slot, (3, 8, b, num_macros)."""
+    # minv is symmetric, so row l of each block is its column l.
+    m_rho = np.einsum("kl...,k...->l...", _batch(hybrid.minv), rho)
+    s_m_rho = _batch(hybrid.signs) * m_rho
+    return m_rho, s_m_rho, s_m_rho.sum(axis=0)
+
+
+def _condense(system: SaddleSystem, rhs_scalar, rho_terms):
     """Condense a batch of b right-hand sides by position, (8, b,
-    num_macros), and by slot, (3, 8, b, num_macros), onto each macro's
-    skeleton positions, 4-11 of the condensed (12, b, num_macros) last."""
+    num_macros), and by slot, given by their ``_rho_terms``, onto each
+    macro's skeleton positions, 4-11 of the condensed (12, b, num_macros)
+    last."""
     hybrid = system.forms.hybrid
-    minv, signs, v, inside = (_batch(a) for a in (
-        hybrid.minv, hybrid.signs, hybrid.v, hybrid.inside))
+    v, inside = _batch(hybrid.v), _batch(hybrid.inside)
     pivot, coupling, rows = (a[..., None, :] for a in (
         system.pivot, system.coupling, system.cross_rows))
-    # minv is symmetric, so row l of each block is its column l.
-    m_rho = np.einsum("kl...,k...->l...", minv, rho)
-    s_m_rho = signs * m_rho
-    u0 = (rhs_scalar - system.tau * s_m_rho.sum(axis=0)) / _batch(system.den)
+    m_rho, s_m_rho, s_m_rho_sum = rho_terms
+    u0 = (rhs_scalar - system.tau * s_m_rho_sum) / _batch(system.den)
     # (s_m_rho + v u0) inside and the side rhs below, in place.
     local_rhs = v * u0
     local_rhs += s_m_rho
@@ -782,9 +911,8 @@ def _solve_operators(system: SaddleSystem) -> SolveOperators:
     hybrid = forms.hybrid
     nc, nsk = forms.num_cells, hybrid.skeleton_edges.size
     nm = hybrid.macro_multiplier.shape[1]
-    dirichlet = np.zeros(hybrid.signs.shape)
-    dirichlet.ravel()[hybrid.owner_slot] = forms.dirichlet_functional
-    zero, no_rho = np.zeros((8, 1, nm)), np.zeros((3, 8, 1, nm))
+    zero = np.zeros((8, 1, nm))
+    no_rho = _rho_terms(hybrid, np.zeros((3, 8, 1, nm)))
     unit = np.broadcast_to(np.eye(8)[:, :, None], (8, 8, nm))
     pair = hybrid.skeleton_slots.T
 
@@ -797,7 +925,7 @@ def _solve_operators(system: SaddleSystem) -> SolveOperators:
         nsk, nc, forms.num_edges))
     for k, (rhs_scalar, rho, boundary) in enumerate((
             (unit, no_rho, zero), (zero, no_rho, unit),
-            (zero, _batch(dirichlet), zero))):
+            (zero, forms.dirichlet_terms, zero))):
         condensed = _condense(system, rhs_scalar, rho)
         u, q = _recover(system, condensed, boundary)
         scalar[:, 8 * k:8 * k + u.shape[-2]] = rows(u, hybrid.positions)

@@ -23,9 +23,11 @@ per-cell linearization weight:
 
 With a constant weight one matrix factorization, with its precomputed
 solve operators, serves all iterations of all time steps; Newton's
-weights change, so it reassembles and refactorizes every iteration, and
-its solve forms q with u.  A constant-weight solve forms u alone and
-keeps the unknowns x of its solve, and ``linear_system.flux`` forms q
+weights change, so every iteration hands the last system and
+factorization to ``assemble`` and ``factorize``, which redo only the
+blocks whose weights changed, and its solve forms q with u.  A
+constant-weight solve forms u alone and keeps the unknowns x of its
+solve, and ``linear_system.flux`` forms q
 from x, a product and no second solve, in two cases only: the
 iterations of the increment rule's screen band (below), and once for
 the final iterate.  The source functional
@@ -315,7 +317,8 @@ def linearized_iterate(forms, config, storage_prev, u_init, f_n, fact=None):
     fact : optional factorization of the constant-weight system (weights
         L, step tau), shared across time steps by ``march``; one built
         for another (L, tau) raises StaleFactorizationError.  Newton
-        refactorizes every iteration and rejects any (ValueError).
+        refactorizes every iteration, from the last iteration's
+        factorization, and rejects any (ValueError).
 
     Returns (u, q, IterationReport); a singular system is reported as
     non-convergence, not raised.
@@ -346,8 +349,12 @@ def linearized_iterate(forms, config, storage_prev, u_init, f_n, fact=None):
     for iterations in range(1, cap + 1):
         try:
             if weights_fn is not None:
+                # The last iteration's system and factorization are handed
+                # over; only the blocks whose weights changed are redone.
                 w = weights_fn(u)
-                fact = factorize(assemble(forms, w, tau))
+                fact = factorize(assemble(
+                    forms, w, tau, None if fact is None else fact.system),
+                    fact)
             rhs_scalar = areas * (w * u - storage_fn(u)) + base
             u_new, q_new = solve(fact, rhs_scalar)
         except SingularSystemError:

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -410,6 +411,150 @@ def test_levels_start_past_n_32():
             == ()
     assert len(assemble_forms(build_structured_unit_square(64)).hybrid
                .levels) == 2
+
+
+def test_level_counts_past_n_32():
+    # A level is stacked only while it saves more band work than its own
+    # dense work costs: three at n = 96 and 128, where the band's limit
+    # alone stacked four and five, and two at n = 64 and 65 as before.
+    for n, count in ((32, 0), (33, 0), (64, 2), (65, 2), (96, 3), (128, 3)):
+        forms = assemble_forms(build_structured_unit_square(n))
+        assert len(forms.hybrid.levels) == count, n
+
+
+@functools.lru_cache(maxsize=None)
+def _forms_with_trace(n):
+    return assemble_forms(build_structured_unit_square(n), -0.5)
+
+
+def _random_weights(rng, num_cells):
+    # Uniform weights with about 30% exact zeros (dry cells).
+    weights = rng.uniform(0.0, 3.0, size=num_cells)
+    weights[rng.random(num_cells) < 0.3] = 0.0
+    return weights
+
+
+def _system_arrays(system):
+    return [system.weights, system.reduced, system.den, system.pivot,
+            system.coupling, system.cross_pivot, system.cross_rows]
+
+
+def _factor_arrays(fact):
+    # Every level's band factor, W and Schur blocks, then the band.
+    return [a for factor in fact.lu.factors for a in factor] + [fact.lu.band]
+
+
+def _assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("newton", [True, False])
+def test_level_blocks_do_not_depend_on_the_others(n, newton):
+    # What a handed-over factorization rests on: a level's band Cholesky,
+    # its triangular solves and its products on any subset of its blocks
+    # give the bytes the whole level gives those blocks.
+    forms = _forms_with_trace(n)
+    rng = np.random.default_rng(n)
+    weights = (_newton_weights(forms, 1e-4) if newton
+               else _random_weights(rng, forms.num_cells))
+    blocks = assemble(forms, weights, 0.05).reduced
+    for level in forms.hybrid.levels:
+        nb, c = level.cross.shape
+        full = linear_system._condense_level(level, blocks, slice(None))
+        for index in (np.arange(nb), np.arange(0, nb, 3), np.array([nb - 1]),
+                      np.flatnonzero(rng.random(nb) < 0.4)):
+            columns = (index[:, None] * c + np.arange(c)).ravel()
+            _assert_same_bytes(
+                linear_system._condense_level(level, blocks, index),
+                [full[0][:, columns], full[1][index], full[2][index]])
+        blocks = full[2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 2, 3, 5, 11, 32, 33, 64, 65]),
+       seed=st.integers(0, 2**32 - 1),
+       share=st.sampled_from([0.0, 0.02, 0.3, 1.0]))
+def test_handed_over_system_and_factorization_match_fresh(n, seed, share):
+    # assemble and factorize given the previous system and factorization
+    # redo only the macros whose weights changed, in the previous arrays,
+    # and give the bytes of a fresh assemble and factorize: every array,
+    # every level's factors and Schur blocks, the band, u and q.  The
+    # weights go back and forth, so each hand-over also undoes one.
+    forms = _forms_with_trace(n)
+    hybrid, nc = forms.hybrid, forms.num_cells
+    rng = np.random.default_rng(seed)
+    first = _random_weights(rng, nc)
+    macros = rng.random(hybrid.macro_multiplier.shape[1]) < share
+    second = np.where(macros[hybrid.positions % macros.size],
+                      _random_weights(rng, nc), first)
+    system = assemble(forms, first, 0.05)
+    fact = factorize(system)
+    rhs = rng.normal(size=nc)
+    for weights in (second, first):
+        previous, previous_fact = system, fact
+        system = assemble(forms, weights, 0.05, previous)
+        fact = factorize(system, previous_fact)
+        assert system.reduced is previous.reduced
+        if hybrid.levels:
+            assert fact.lu.factors[-1][2] is previous_fact.lu.factors[-1][2]
+        fresh = assemble(forms, weights, 0.05)
+        fresh_fact = factorize(fresh)
+        _assert_same_bytes(
+            _system_arrays(system) + _factor_arrays(fact)
+            + list(solve(fact, rhs)),
+            _system_arrays(fresh) + _factor_arrays(fresh_fact)
+            + list(solve(fresh_fact, rhs)))
+        for a in _system_arrays(system) + _factor_arrays(fact):
+            assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("other", ["tau", "forms", "constant"])
+def test_previous_of_another_system_is_ignored(other):
+    # A previous system or factorization built with another tau, on other
+    # forms or with a constant weight is left as it was, and the new one
+    # is built afresh.
+    forms = _forms_with_trace(64)
+    rng = np.random.default_rng(7)
+    weights = _random_weights(rng, forms.num_cells)
+    if other == "tau":
+        previous = assemble(forms, weights, 0.1)
+    elif other == "forms":
+        previous = assemble(assemble_forms(build_structured_unit_square(64),
+                                           -0.5), weights, 0.05)
+    else:
+        previous = assemble(forms, 84.0, 0.05)
+    previous_fact = factorize(previous)
+    kept = [a.copy() for a in _system_arrays(previous)
+            + _factor_arrays(previous_fact)]
+    weights[:50] += 1.0
+    system = assemble(forms, weights, 0.05, previous)
+    fact = factorize(system, previous_fact)
+    fresh = assemble(forms, weights, 0.05)
+    _assert_same_bytes(_system_arrays(system) + _factor_arrays(fact),
+                       _system_arrays(fresh) + _factor_arrays(factorize(fresh)))
+    assert system.reduced is not previous.reduced
+    _assert_same_bytes(_system_arrays(previous)
+                       + _factor_arrays(previous_fact), kept)
+    # A constant weight never takes over a previous system's arrays.
+    constant = assemble(forms, 84.0, 0.05, system)
+    assert constant.reduced is not system.reduced
+    _assert_same_bytes(_system_arrays(constant),
+                       _system_arrays(assemble(forms, 84.0, 0.05)))
+
+
+def test_dirichlet_terms_built_once_per_forms():
+    # Newton's per-call solve reads the Dirichlet functional's terms from
+    # the forms, built on first use and read-only.
+    forms = assemble_forms(build_structured_unit_square(5), -0.5)
+    terms = forms.dirichlet_terms
+    assert forms.dirichlet_terms is terms
+    assert all(not a.flags.writeable for a in terms)
+    system = assemble(forms, _newton_weights(forms, 1e-4), 0.05)
+    u, q = solve(factorize(system), np.ones(forms.num_cells))
+    assert residual_norm(system, u, q, np.ones(forms.num_cells)) < 1e-10
 
 
 @pytest.mark.parametrize("n", [64, 65])

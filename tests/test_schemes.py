@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 import degenmfem.schemes as schemes
 from degenmfem.fem import assemble_forms, l2_norm_scalar
-from degenmfem.linear_system import SingularSystemError, assemble, factorize
+from degenmfem.linear_system import (
+    Factorization,
+    SingularSystemError,
+    assemble,
+    factorize,
+)
 from degenmfem.mesh import build_structured_unit_square
 from degenmfem.nonlinearity import NonlinearitySpec, RegularizationSpec
 from degenmfem.schemes import (
@@ -405,20 +410,31 @@ DRIVERS = {"hl": "hl_iterate", "lreg": "regularized_l_iterate",
 
 @pytest.mark.parametrize("kind,failing", [
     ("hl", "solve"), ("lreg", "solve"), ("newton", "solve"),
-    ("newton", "factorize")])
+    ("newton", "factorize"), ("newton", "factorize-2")])
 def test_singular_system_reported(forms, monkeypatch, kind, failing):
+    # "factorize-2" fails Newton's second factorization, the first one
+    # handed the previous iteration's factorization.
     u_star, _, u_prev, f_n = _manufactured_linear_step(forms, seed=5)
     config = _holder_config(kind, _reference_stop(u_star, tol=1e-9))
+    name, _, call = failing.partition("-")
+    call = int(call or 1)
+    original, previous = getattr(schemes, name), []
 
     def boom(*args, **kwargs):
-        raise SingularSystemError("synthetic pivot failure")
+        previous.append(args[1:])
+        if len(previous) == call:
+            raise SingularSystemError("synthetic pivot failure")
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(schemes, failing, boom)
+    monkeypatch.setattr(schemes, name, boom)
     driver = getattr(schemes, DRIVERS[kind])
     _, _, report = driver(forms, config, u_prev, u_prev, f_n)
     assert not report.converged
     assert report.failure_reason == "singular system"
-    assert report.iterations_used == 1
+    assert report.iterations_used == call
+    if call == 2:
+        assert previous[0] == (None,)
+        assert isinstance(previous[1][0], Factorization)
 
 
 @pytest.mark.parametrize("kind", schemes.SCHEME_KINDS)
