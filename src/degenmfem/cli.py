@@ -111,30 +111,37 @@ def build_parser():
     return parser
 
 
-def _run_solve(args) -> int:
+def _set_up(args, check=lambda: None):
+    """Check --n, then the subcommand's other flags (``check``, whose
+    result comes first), and only then make the output directory and
+    build the mesh and the forms."""
     if args.n < 1:
         _usage_error("--n must be >= 1")
-    if args.steps < 1:
-        _usage_error("--steps must be >= 1")
-    msol = DEFAULT_SOLUTION
-    # A bad --tau, --tol, --L, --eps or --shift, or one the scheme does
-    # not take, is rejected before the reference run.
-    try:
-        config = scheme_config(args.scheme, args.tol, args.tau, args.eps,
-                               args.L, args.reg_kind, args.shift)
-    except ValueError as exc:
-        _usage_error(str(exc))
-
+    checked = check()
     out_dir = Path(args.out if args.out is not None else _default_out())
     out_dir.mkdir(parents=True, exist_ok=True)
-
     mesh = build_structured_unit_square(args.n)
-    forms = assemble_forms(mesh, msol.boundary_value)
+    return (checked, out_dir, mesh,
+            assemble_forms(mesh, DEFAULT_SOLUTION.boundary_value))
 
+
+def _run_solve(args) -> int:
+    def check():
+        if args.steps < 1:
+            _usage_error("--steps must be >= 1")
+        # A bad --tau, --tol, --L, --eps or --shift, or one the scheme
+        # does not take, is rejected before the reference run.
+        try:
+            return scheme_config(args.scheme, args.tol, args.tau, args.eps,
+                                 args.L, args.reg_kind, args.shift)
+        except ValueError as exc:
+            _usage_error(str(exc))
+
+    config, out_dir, mesh, forms = _set_up(args, check)
     reference = compute_reference(mesh, forms, args.tau, args.steps)
 
-    u0 = project_scalar(mesh, msol.initial)
-    source = make_source_provider(mesh, msol)
+    u0 = project_scalar(mesh, DEFAULT_SOLUTION.initial)
+    source = make_source_provider(mesh, DEFAULT_SOLUTION)
     series = run_time_series(config, mesh, forms, u0, source, args.steps,
                              references=[r.u for r in reference])
     result = experiment_row(config, args.eps, series, args.steps)
@@ -170,19 +177,11 @@ def _run_solve(args) -> int:
 
 
 def _run_tables(args) -> int:
-    if args.n < 1:
-        _usage_error("--n must be >= 1")
-    out_dir = Path(args.out if args.out is not None else _default_out())
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    msol = DEFAULT_SOLUTION
-    mesh = build_structured_unit_square(args.n)
-    forms = assemble_forms(mesh, msol.boundary_value)
-
+    _, out_dir, mesh, forms = _set_up(args)
     wanted = list(TABLE_SCHEMES) if args.which == "all" else [args.which]
     references = {}
     for tau in benchmark.GRID_TAU:
-        n_steps = benchmark.steps_for_tau(msol, tau)
+        n_steps = benchmark.steps_for_tau(DEFAULT_SOLUTION, tau)
         print(f"computing reference for tau = {tau:g} ({n_steps} steps) ...")
         references[tau] = compute_reference(mesh, forms, tau, n_steps)
 

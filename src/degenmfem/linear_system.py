@@ -46,35 +46,39 @@ left and keeps its bandwidth; levels are stacked while its band would
 cost more than ``LEVEL_WORK`` and a level saves more of the band's work
 than its own dense work costs (``LEVEL_COST``): none up to n = 32, two
 at n = 64 and 65, three at n = 96 and 128.  Odd block grids are
-completed by phantom blocks, identities, that decouple.
+completed by phantom blocks, identities, that decouple.  Eliminating a
+subtree's interior is part of assembling its parent (static
+condensation; the multifrontal method, Duff-Reid 1983), so ``assemble``
+condenses the levels after the macros and the system keeps each level's
+cross factors and Schur blocks.
 The skeleton left on the coarsest blocks' boundaries (the macros' when
-there is no level) is factorized by LAPACK's band Cholesky (``pbtrf``)
-whatever the weight, summed by one ``bincount`` into the storage of its
-upper band.  A skeleton solve runs the levels forward, the pair of band
-triangular solves (``pbtrs``), then the levels back.  An empty skeleton
-(n < 3) factorizes and solves as nothing.
+there is no level) is all ``factorize`` does: LAPACK's band Cholesky
+(``pbtrf``) whatever the weight, summed by one ``bincount`` into the
+storage of its upper band.  A skeleton solve runs the levels forward,
+the pair of band triangular solves (``pbtrs``), then the levels back.
+An empty skeleton (n < 3) factorizes and solves as nothing.
 
-The mesh-only operators of the reduction (``HybridOperators``, with the
-macro numbering ``MACRO_SIDES`` and the ``CondensationLevel``s) are
-built once per mesh and cached by the forms' ``hybrid``.
+The operators of the reduction (``HybridOperators``, with the macro
+numbering ``MACRO_SIDES``, the ``CondensationLevel``s and the Dirichlet
+functional's terms) are built once per forms and cached by the forms'
+``hybrid``.
 
 Newton's weights change every iteration, but in part of the mesh only.
-So ``assemble`` and ``factorize`` take the previous iteration's system
-and factorization (``previous``) and redo only the macros whose den
-changed and the level blocks over them, into the previous arrays, which
-the new system and factorization take over; the coarse band is summed
-and factorized in full.  A macro's arrays depend on the weights only
-through its den, and a level block's only through its children's, so
-the bytes are those of a fresh build: a factorization modified where
-its matrix changed (Davis-Hager 1999), on the independent subtrees of
-the quadtree (Duff-Reid 1983).
+So ``assemble`` takes the previous iteration's system (``previous``)
+and redoes only the macros whose den changed and the level blocks over
+them, into the previous arrays, which the new system takes over; the
+coarse band is summed and factorized in full.  A macro's arrays depend
+on the weights only through its den, and a level block's only through
+its children's, so the bytes are those of a fresh build: a
+factorization modified where its matrix changed (Davis-Hager 1999), on
+the independent subtrees of the quadtree (Duff-Reid 1983).
 
 A solve takes rhs_scalar alone and one of two forms.  Newton's weights
 change every iteration, so its solve runs per call: condense the
 right-hand side macro by macro, solve on the skeleton, recover the
 crosses, the diagonals and the cells.  The Dirichlet functional's terms
 of it are the same for every call and are built once per forms
-(``dirichlet_terms``, cached by the forms).  A constant weight (the
+(``HybridOperators.dirichlet_terms``).  A constant weight (the
 L-type schemes, one system for a whole run) gets that solve precomputed
 at assembly as sparse maps over x = [rhs_scalar; lambda_s; 0; 1]:
 lambda_s solves the skeleton system with right-hand side R x and u = S x;
@@ -91,10 +95,10 @@ macros at once, the columns from the macro numbering, so nothing else
 is kept per mesh.
 
 Each factorization keeps the system it was built from, so the step loop
-rejects one built for another (L, tau).  A ``Factorization`` is
-immutable, with one exception: one handed to ``factorize`` as
-``previous`` is consumed, as is a system handed to ``assemble``, and
-neither is to be used again.  Solves are pure functions of
+rejects one built for another (L, tau).  Systems and factorizations are
+immutable, with one exception: a system handed to ``assemble`` as
+``previous`` is consumed, with every factorization of it, and none of
+them is to be used again.  Solves are pure functions of
 (factorization, right-hand side) and repeated solves are
 bit-identical.
 """
@@ -139,18 +143,19 @@ _CHILD_SIDES = np.array([[4, 0, 8, 2],
                          [0, 6, 9, 3],
                          [1, 7, 3, 11]])
 # A level is stacked while the band left would take more multiply-adds,
-# nsk (bandwidth + 1)^2, than this.  With one BLAS thread, Newton's
-# factorization took 5.3, 3.4, 2.6 and 2.5 ms with 0-3 levels at n = 64
-# and 5.7, 3.8, 3.0 and 3.4 ms at n = 65; the limit stops both at two.
-# At n = 32 (3.9e6) one level saved 0.1 of 0.5 ms, but every mesh up to
-# n = 32, where the paper's tables run, keeps the band and its bits.
+# nsk (bandwidth + 1)^2, than this.  With one BLAS thread, the levels'
+# crosses and the band of Newton's weights took 5.3, 3.4, 2.6 and 2.5 ms
+# with 0-3 levels at n = 64 and 5.7, 3.8, 3.0 and 3.4 ms at n = 65; the
+# limit stops both at two.  At n = 32 (3.9e6) one level saved 0.1 of
+# 0.5 ms, but every mesh up to n = 32, where the paper's tables run,
+# keeps the band and its bits.
 LEVEL_WORK = 2.0e7
 # ... and only while the level saves more of the band's multiply-adds than
 # its own dense work costs, about this many times c^3 per block for its
-# cross of c = 4e positions, in the same units.  Newton's factorization
-# took 7.5 ms with three levels and 9.0 ms with four at n = 96, and 15.8
-# and 16.0 ms at n = 128, where five took 28 ms; the rule stops both at
-# three, and keeps two at n = 57 to 72.
+# cross of c = 4e positions, in the same units.  The levels and band of
+# Newton's weights took 7.5 ms with three levels and 9.0 ms with four at
+# n = 96, and 15.8 and 16.0 ms at n = 128, where five took 28 ms; the rule
+# stops both at three, and keeps two at n = 57 to 72.
 LEVEL_COST = 16
 
 _PBTRF, _PBTRS, _TBTRS = get_lapack_funcs(("pbtrf", "pbtrs", "tbtrs"),
@@ -196,8 +201,9 @@ class CondensationLevel:
 
 @dataclass(frozen=True)
 class HybridOperators:
-    """Mesh-only operators of the hybridized mixed system, laid out for
-    its condensation on 2x2 macro squares.
+    """Operators of the hybridized mixed system, laid out for its
+    condensation on 2x2 macro squares: the mesh's, and the Dirichlet
+    functional's terms of the forms.
 
     The cells are listed macro by macro: position t P/2 + q P/8 + M of
     the P = 8 num_macros positions is the lower (t = 0) or upper (t = 1)
@@ -244,6 +250,10 @@ class HybridOperators:
     (bandwidth + 1, num_coarse) array.  ``owner_slot[E]`` is the slot of
     edge E in its lowest-numbered cell.  ``minv`` is exactly symmetric, so
     ``minv[l]`` holds the columns l of the blocks.
+
+    ``dirichlet_terms`` are the forms' Dirichlet functional rho by slot
+    as every per-call solve's flux side: ``_rho_terms`` of it, batched as
+    in ``_condense``.  Every array is read-only.
     """
 
     cells: np.ndarray
@@ -264,6 +274,7 @@ class HybridOperators:
     macro_multiplier: np.ndarray
     bandwidth: int
     levels: tuple
+    dirichlet_terms: tuple
 
 
 def hybrid_operators(forms: AssembledForms) -> HybridOperators:
@@ -356,9 +367,13 @@ def hybrid_operators(forms: AssembledForms) -> HybridOperators:
               by_position(ssm, np.eye(3)), by_position(vv), skeleton,
               pair_pos, pair_slot, owner_slot,
               _pairs(macro_multiplier, skeleton.size), macro_multiplier)
-    for a in arrays:
+    hybrid = HybridOperators(*arrays, bandwidth, tuple(levels), ())
+    rho = np.zeros((3, cells.size))
+    rho.ravel()[owner_slot] = forms.dirichlet_functional
+    terms = _rho_terms(hybrid, _batch(rho))
+    for a in arrays + terms:
         a.flags.writeable = False
-    return HybridOperators(*arrays, bandwidth, tuple(levels))
+    return replace(hybrid, dirichlet_terms=terms)
 
 
 def _pairs(number, size):
@@ -463,9 +478,17 @@ class SaddleSystem:
     sides, and ``cross_pivot`` (4, num_macros) and ``cross_rows``
     (4, 12, num_macros) hold the macros' pivots of the inner cross and
     their rows, divided by the pivot, as they were eliminated.
+    ``level_factors`` holds, per ``CondensationLevel``, the upper
+    Cholesky factors of its blocks' crosses, one block-diagonal band in
+    LAPACK's storage (4e, 4e num_blocks), W = U^{-T} C (num_blocks, 4e,
+    8e), C being the crosses' couplings to the blocks' boundaries, and
+    the blocks' Schur complements on their boundaries (num_blocks, 8e,
+    8e), the next level's input; the last level's hold the coarse
+    skeleton's matrix, as ``reduced`` does when there is no level.
     ``operators`` is set for a constant weight only.  A system handed to
-    ``assemble`` as ``previous`` is consumed: the new system takes over
-    its arrays but ``weights`` and ``den``, and rewrites them.
+    ``assemble`` as ``previous`` is consumed, with every factorization of
+    it: the new system takes over its arrays but ``weights`` and ``den``,
+    and rewrites them.
     """
 
     forms: AssembledForms
@@ -477,6 +500,7 @@ class SaddleSystem:
     coupling: np.ndarray = field(repr=False)
     cross_pivot: np.ndarray = field(repr=False)
     cross_rows: np.ndarray = field(repr=False)
+    level_factors: tuple = field(repr=False)
     operators: SolveOperators | None = field(default=None, repr=False)
 
     @property
@@ -484,36 +508,40 @@ class SaddleSystem:
         return self.forms.num_cells
 
 
-class SkeletonCholesky:
-    """The Cholesky factorization of the skeleton matrix A: the crosses
-    of each ``CondensationLevel``, then a band.
+@dataclass(frozen=True)
+class Factorization:
+    """The Cholesky factorization of a system's skeleton matrix A, tied
+    to the system: the crosses of each ``CondensationLevel``, which
+    ``assemble`` factorized (``SaddleSystem.level_factors``), then
+    ``band``, the upper band Cholesky factor of the coarse skeleton's
+    matrix (read-only).
 
-    ``factors`` holds, per level, the upper Cholesky factors of its
-    blocks' crosses, one block-diagonal band in LAPACK's storage
-    (4e, 4e num_blocks), W = U^{-T} C (num_blocks, 4e, 8e), C being
-    the crosses' couplings to the blocks' boundaries, and the blocks' Schur
-    complements on their boundaries (num_blocks, 8e, 8e), the next level's
-    input, kept for a factorization that takes them over; ``band`` is the
-    upper band Cholesky factor of the coarse skeleton's matrix.  It has
-    ``shape``, ``solve`` and the factors ``L`` and ``U``, sparse matrices
+    It has ``solve`` and the factors ``L`` and ``U``, sparse matrices
     with every stored nonzero entry, built on each access: row i of U is
-    the factor row whose pivot is skeleton edge i, so U^T U = A.  The
-    benchmark's tracer reads ``lu.L.nnz + lu.U.nnz`` for the factor's
-    size.
+    the factor row whose pivot is skeleton edge i, so U^T U = A.  ``lu``
+    is the factorization itself, the name the benchmark's tracer reads
+    ``lu.L.nnz + lu.U.nnz`` from for the factor's size.
     """
 
-    def __init__(self, levels, factors, band: np.ndarray, size: int):
-        for a in (band, *(a for factor in factors for a in factor)):
-            a.flags.writeable = False
-        self.levels, self.factors, self.band = levels, tuple(factors), band
-        self.shape = (size, size)
+    system: SaddleSystem = field(repr=False)
+    band: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.band.flags.writeable = False
+
+    @property
+    def lu(self) -> "Factorization":
+        return self
 
     @property
     def U(self) -> sps.csr_matrix:
+        hybrid = self.system.forms.hybrid
+        size = hybrid.skeleton_edges.size
         # Each level's factor rows in the skeleton numbers of its edges.
-        number = np.arange(self.shape[0])
+        number = np.arange(size)
         rows, cols, vals = [], [], []
-        for level, (cross_u, w, _) in zip(self.levels, self.factors):
+        for level, (cross_u, w, _) in zip(hybrid.levels,
+                                          self.system.level_factors):
             c = level.cross.shape[1]
             cross = np.append(number, -1)[level.cross]
             number = number[level.kept]
@@ -522,8 +550,8 @@ class SkeletonCholesky:
             cols += [cross[:, j], np.broadcast_to(np.append(number, -1)[
                 level.boundary][:, None], w.shape)]
             vals += [cross_u.reshape(c, -1, c)[c - 1 + i - j, :, j].T, w]
-        width, size = self.band.shape
-        col = np.arange(size)
+        width, coarse = self.band.shape
+        col = np.arange(coarse)
         row = col + np.arange(1 - width, 1)[:, None]
         rows.append(np.append(number, -1)[row])
         cols.append(np.broadcast_to(number[col], row.shape))
@@ -532,7 +560,7 @@ class SkeletonCholesky:
                             for parts in (rows, cols, vals))
         keep = (rows >= 0) & (cols >= 0) & (vals != 0.0)
         return sps.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                              shape=self.shape)
+                              shape=(size, size))
 
     @property
     def L(self) -> sps.csr_matrix:
@@ -541,7 +569,8 @@ class SkeletonCholesky:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A^{-1} rhs: the levels forward, the band, the levels back."""
         forward = []
-        for level, (cross_u, w, _) in zip(self.levels, self.factors):
+        for level, (cross_u, w, _) in zip(self.system.forms.hybrid.levels,
+                                          self.system.level_factors):
             y = _TBTRS(cross_u, np.append(rhs, 0.0)[level.cross].reshape(
                 -1, 1), trans="T")[0].reshape(level.cross.shape)
             forward.append((level, cross_u, w, rhs.size, y))
@@ -560,18 +589,6 @@ class SkeletonCholesky:
         return x
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """The factors of a system's reduced matrix, which they stay tied
-    to.  ``lu`` is the name the benchmark's tracer reads.  One handed to
-    ``factorize`` as ``previous`` is consumed: the new factorization takes
-    over its levels' arrays and rewrites them, and its ``system`` keeps
-    the den they were built from until then."""
-
-    lu: SkeletonCholesky = field(repr=False)
-    system: SaddleSystem = field(repr=False)
-
-
 # The positions each cross edge of a macro still couples to when it is
 # eliminated; the second couples to none of 4-7, and updating them with
 # its zero entries changes no value.
@@ -586,14 +603,17 @@ _SECOND_SIDE = tuple(np.array([np.argwhere(MACRO_SIDES.T == p)[1]
 
 def assemble(forms: AssembledForms, weights, tau: float,
              previous: SaddleSystem | None = None) -> SaddleSystem:
-    """Assemble the reduced system for per-cell weights d_T and step tau.
+    """Assemble the reduced system for per-cell weights d_T and step tau:
+    condense the macros, then each condensation level.
 
     Accepts a scalar weight (broadcast to all cells), whose system also
     gets its ``SolveOperators``, or a per-cell array; entries must be
     finite and nonnegative.  A ``previous`` system with per-cell weights
     on the same forms and tau is consumed when the weights are per-cell:
-    only the macros whose den changed are condensed again, into its
-    arrays, which the new system takes over.  Any other is ignored.
+    only the macros whose den changed, and the level blocks over them,
+    are condensed again, into its arrays, which the new system takes
+    over.  Any other is ignored.  A cross whose Cholesky factorization
+    fails raises SingularSystemError.
     """
     if not np.isfinite(tau) or tau <= 0.0:
         raise ValueError(f"tau must be positive and finite, got {tau}")
@@ -610,35 +630,51 @@ def assemble(forms: AssembledForms, weights, tau: float,
     den = np.append(weights * forms.scalar_mass + tau * hybrid.beta,
                     1.0)[hybrid.cells]
     den.flags.writeable = False
-    if constant or not _same_kind(previous, forms, tau):
-        arrays = _condense_macros(hybrid, den, tau, slice(None))
-        for a in arrays:
-            a.flags.writeable = False
-    else:
+    reuse = (not constant and previous is not None and previous.forms is forms
+             and previous.tau == tau and previous.operators is None)
+    if reuse:
         # Every array depends on the weights only through den.
-        changed = np.flatnonzero((den != previous.den).reshape(8, -1)
-                                 .any(axis=0))
-        arrays = (previous.reduced, previous.pivot, previous.coupling,
+        changed = (den != previous.den).reshape(8, -1).any(axis=0)
+        index = np.flatnonzero(changed)
+        macros = (previous.reduced, previous.pivot, previous.coupling,
                   previous.cross_pivot, previous.cross_rows)
-        for i, (a, new) in enumerate(zip(arrays, _condense_macros(
-                hybrid, den, tau, changed))):
-            _write(a, changed if i == 0 else (..., changed), new)
-    system = SaddleSystem(forms, weights, float(tau), arrays[0], den,
-                          *arrays[1:])
+        for i, (a, new) in enumerate(zip(macros, _condense_macros(
+                hybrid, den, tau, index))):
+            _write(a, index if i == 0 else (..., index), new)
+    else:
+        macros = _condense_macros(hybrid, den, tau, slice(None))
+    factors = []
+    for i, level in enumerate(hybrid.levels):
+        blocks = factors[-1][2] if factors else macros[0]
+        if not reuse:
+            factors.append(_condense_level(level, blocks, slice(None)))
+            continue
+        # A block changes with any of its children; the last two
+        # children numbers are a phantom and the zero block.
+        changed = np.append(changed, [False, False])[level.children].any(
+            axis=1)
+        index = np.flatnonzero(changed)
+        factors.append(previous.level_factors[i])
+        if index.size:
+            c = level.cross.shape[1]
+            columns = (index[:, None] * c + np.arange(c)).ravel()
+            for a, where, new in zip(factors[-1], (
+                    (slice(None), columns), index, index),
+                    _condense_level(level, blocks, index)):
+                _write(a, where, new)
+    if not reuse:
+        for a in (*macros, *(a for factor in factors for a in factor)):
+            a.flags.writeable = False
+    system = SaddleSystem(forms, weights, float(tau), macros[0], den,
+                          *macros[1:], tuple(factors))
     if constant:
         system = replace(system, operators=_solve_operators(system))
     return system
 
 
-def _same_kind(previous: SaddleSystem | None, forms, tau) -> bool:
-    """Whether ``previous`` has per-cell weights on ``forms`` and tau."""
-    return (previous is not None and previous.forms is forms
-            and previous.tau == tau and previous.operators is None)
-
-
 def _write(a: np.ndarray, index, values):
-    """a[index] = values into a read-only array of a consumed system or
-    factorization, which owns its memory or views a writeable base."""
+    """a[index] = values into a read-only array of a consumed system,
+    which owns its memory or views a writeable base."""
     a.flags.writeable = True
     a[index] = values
     a.flags.writeable = False
@@ -672,45 +708,13 @@ def _condense_macros(hybrid: HybridOperators, den, tau, index):
     return reduced, pivot, coupling.copy(), cross_pivot, cross_rows
 
 
-def factorize(system: SaddleSystem,
-              previous: Factorization | None = None) -> Factorization:
-    """Factorize the reduced matrix: the crosses of each condensation
-    level, then the band Cholesky of the coarse skeleton.
-
-    A ``previous`` factorization of a system with per-cell weights on the
-    same forms and tau, ``system``'s too, is consumed: only the level
-    blocks over a macro whose den changed are merged and factorized again,
-    into its arrays, which the new factorization takes over.  Any other is
-    ignored.
-    """
+def factorize(system: SaddleSystem) -> Factorization:
+    """Factorize the reduced matrix: the band Cholesky of the coarse
+    skeleton, the last condensation level's Schur blocks (the macros'
+    when there is no level) summed into its band."""
     hybrid = system.forms.hybrid
-    blocks, factors = system.reduced, []
-    reuse = (bool(hybrid.levels) and previous is not None
-             and system.operators is None
-             and _same_kind(previous.system, system.forms, system.tau))
-    if reuse:
-        changed = (system.den != previous.system.den).reshape(8, -1).any(
-            axis=0)
-    for i, level in enumerate(hybrid.levels):
-        if not reuse:
-            factors.append(_condense_level(level, blocks, slice(None)))
-        else:
-            # A block changes with any of its children; the last two
-            # children numbers are a phantom and the zero block.
-            changed = np.append(changed, [False, False])[level.children].any(
-                axis=1)
-            index = np.flatnonzero(changed)
-            factors.append(previous.lu.factors[i])
-            band, w, schur = factors[-1]
-            c = level.cross.shape[1]
-            if index.size:
-                new_band, new_w, new_schur = _condense_level(level, blocks,
-                                                             index)
-                _write(band, (slice(None), (index[:, None] * c
-                                            + np.arange(c)).ravel()), new_band)
-                _write(w, index, new_w)
-                _write(schur, index, new_schur)
-        blocks = factors[-1][2]
+    blocks = (system.level_factors[-1][2] if system.level_factors
+              else system.reduced)
     size = hybrid.bandwidth + 1
     nsk = (hybrid.levels[-1].kept.size if hybrid.levels
            else hybrid.skeleton_edges.size)
@@ -719,8 +723,7 @@ def factorize(system: SaddleSystem,
     band, info = _PBTRF(band.reshape(size, nsk, order="F"), overwrite_ab=1)
     if info != 0:
         raise SingularSystemError(f"band Cholesky failed at pivot {info}")
-    return Factorization(SkeletonCholesky(
-        hybrid.levels, factors, band, hybrid.skeleton_edges.size), system)
+    return Factorization(system, band)
 
 
 def _condense_level(level: CondensationLevel, blocks, index):
@@ -759,9 +762,8 @@ def _condense_level(level: CondensationLevel, blocks, index):
 def solve(fact: Factorization, rhs_scalar):
     """Solve for (u, q) given the per-cell right-hand side, with the
     forms' Dirichlet functional on the flux side.  A constant-weight
-    system forms u alone and returns, in q's place, the unknowns
-    x = [rhs_scalar; lambda_s; 0; 1] of its solve, from which ``flux``
-    forms q.
+    system forms u alone and returns, in q's place, the unknowns x of
+    its solve, from which ``flux`` forms q.
     """
     system = fact.system
     nc = system.num_cells
@@ -772,7 +774,7 @@ def solve(fact: Factorization, rhs_scalar):
     if ops is not None:
         x = np.zeros(ops.scalar.shape[1])
         x[:nc], x[-1] = rhs_scalar, 1.0
-        x[nc:-2] = fact.lu.solve(_product(ops.skeleton_rhs, x))
+        x[nc:-2] = fact.solve(_product(ops.skeleton_rhs, x))
         u, q = _product(ops.scalar, x), x
     else:
         u, q = _solve_hybrid(fact, rhs_scalar)
@@ -802,10 +804,10 @@ def _solve_hybrid(fact: Factorization, rhs_scalar):
     hybrid = system.forms.hybrid
     condensed = _condense(system, _batch(np.append(rhs_scalar, 0.0)
                                          [hybrid.cells]),
-                          system.forms.dirichlet_terms)
+                          hybrid.dirichlet_terms)
     boundary_rhs = condensed[-1][4:].ravel()
     first, second = hybrid.skeleton_slots
-    skeleton = fact.lu.solve(boundary_rhs[first] + boundary_rhs[second])
+    skeleton = fact.solve(boundary_rhs[first] + boundary_rhs[second])
     u, q = _recover(system, condensed, np.append(skeleton, 0.0)[
         hybrid.macro_multiplier[:, None]])
     return u.ravel()[hybrid.positions], q.ravel()[hybrid.owner_slot]
@@ -815,19 +817,6 @@ def _batch(a):
     """A by-position array (..., P) as (..., 8, 1, num_macros): the
     macros' eight positions, a batch axis and the macros."""
     return a.reshape(a.shape[:-1] + (8, 1, -1))
-
-
-def dirichlet_terms(forms: AssembledForms):
-    """The forms' Dirichlet functional rho by slot as every per-call
-    solve's flux side: ``_rho_terms`` of it, batched as in ``_condense``,
-    built once per forms and cached by the forms' ``dirichlet_terms``."""
-    hybrid = forms.hybrid
-    rho = np.zeros(hybrid.signs.shape)
-    rho.ravel()[hybrid.owner_slot] = forms.dirichlet_functional
-    terms = _rho_terms(hybrid, _batch(rho))
-    for a in terms:
-        a.flags.writeable = False
-    return terms
 
 
 def _rho_terms(hybrid: HybridOperators, rho):
@@ -925,7 +914,7 @@ def _solve_operators(system: SaddleSystem) -> SolveOperators:
         nsk, nc, forms.num_edges))
     for k, (rhs_scalar, rho, boundary) in enumerate((
             (unit, no_rho, zero), (zero, no_rho, unit),
-            (zero, forms.dirichlet_terms, zero))):
+            (zero, hybrid.dirichlet_terms, zero))):
         condensed = _condense(system, rhs_scalar, rho)
         u, q = _recover(system, condensed, boundary)
         scalar[:, 8 * k:8 * k + u.shape[-2]] = rows(u, hybrid.positions)

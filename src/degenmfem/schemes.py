@@ -23,9 +23,9 @@ per-cell linearization weight:
 
 With a constant weight one matrix factorization, with its precomputed
 solve operators, serves all iterations of all time steps; Newton's
-weights change, so every iteration hands the last system and
-factorization to ``assemble`` and ``factorize``, which redo only the
-blocks whose weights changed, and its solve forms q with u.  A
+weights change, so every iteration hands the last system to
+``assemble``, which redoes only the blocks whose weights changed, and
+its solve forms q with u.  A
 constant-weight solve forms u alone and keeps the unknowns x of its
 solve, and ``linear_system.flux`` forms q
 from x, a product and no second solve, in two cases only: the
@@ -228,9 +228,9 @@ class _Stopping:
         self.error_history = []
         if criterion.mode == "against_reference" and criterion.reference is None:
             raise ValueError("against_reference stopping needs a reference field")
-        # The last recorded iterate, the unknowns x of its constant-weight
-        # solve and its flux, None until formed.
-        self.u = self.x = self.q = None
+        # The last recorded iterate, its right-hand side, the unknowns x
+        # of its constant-weight solve and its flux, None until formed.
+        self.u = self.rhs = self.x = self.q = None
 
     def record_initial(self, u):
         self.u = u
@@ -244,17 +244,16 @@ class _Stopping:
             self.q = flux(self.fact, self.x)
         return self.q
 
-    def update(self, u_new, q_new):
+    def update(self, u_new, q_new, rhs):
         """Returns (converged, diverged) after recording the iterate
-        (u_new, q_new); for a constant weight q_new is the unknowns x of
-        its solve, whose first num_cells entries are its right-hand side
-        (see ``linear_system.solve``)."""
-        u_old, x_old, q_old = self.u, self.x, self.q
+        (u_new, q_new) solved for the right-hand side ``rhs``; for a
+        constant weight q_new is the unknowns x of its solve."""
+        u_old, rhs_old, x_old, q_old = self.u, self.rhs, self.x, self.q
         if self.fact is None:
             self.q = q_new
         else:
             self.x, self.q = q_new, None
-        self.u = u_new
+        self.u, self.rhs = u_new, rhs
         if self.crit.mode == "against_reference":
             err = l2_norm_scalar(self.mesh, u_new - self.crit.reference)
             self.error_history.append(err)
@@ -269,9 +268,7 @@ class _Stopping:
             return False, not np.all(np.isfinite(u_new))
         tol = self.crit.tol
         if self.fact is not None:
-            nc = u_new.size
-            abs_sum = du + self._cheap_dq(du_vec, du,
-                                          self.x[:nc] - x_old[:nc])
+            abs_sum = du + self._cheap_dq(du_vec, du, rhs - rhs_old)
             limit = DIVERGENCE_THRESHOLD
             if (math.isfinite(abs_sum)
                     and abs_sum >= tol * (1.0 + SCREEN_MARGIN)
@@ -317,8 +314,8 @@ def linearized_iterate(forms, config, storage_prev, u_init, f_n, fact=None):
     fact : optional factorization of the constant-weight system (weights
         L, step tau), shared across time steps by ``march``; one built
         for another (L, tau) raises StaleFactorizationError.  Newton
-        refactorizes every iteration, from the last iteration's
-        factorization, and rejects any (ValueError).
+        refactorizes every iteration, from the last iteration's system,
+        and rejects any (ValueError).
 
     Returns (u, q, IterationReport); a singular system is reported as
     non-convergence, not raised.
@@ -349,18 +346,17 @@ def linearized_iterate(forms, config, storage_prev, u_init, f_n, fact=None):
     for iterations in range(1, cap + 1):
         try:
             if weights_fn is not None:
-                # The last iteration's system and factorization are handed
-                # over; only the blocks whose weights changed are redone.
+                # The last iteration's system is handed over; only the
+                # blocks whose weights changed are redone.
                 w = weights_fn(u)
                 fact = factorize(assemble(
-                    forms, w, tau, None if fact is None else fact.system),
-                    fact)
+                    forms, w, tau, None if fact is None else fact.system))
             rhs_scalar = areas * (w * u - storage_fn(u)) + base
             u_new, q_new = solve(fact, rhs_scalar)
         except SingularSystemError:
             reason = "singular system"
             break
-        converged, diverged = tracker.update(u_new, q_new)
+        converged, diverged = tracker.update(u_new, q_new, rhs_scalar)
         u = u_new
         if diverged:
             reason = "divergence"

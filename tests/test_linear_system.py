@@ -168,7 +168,7 @@ def test_reduced_solve_matches_dense_oracle(n, pattern):
     rhs_s = rng.normal(size=forms.num_cells)
     rhs_f = rng.normal(size=forms.num_edges)
     fact, u, q = solve_general_flux(forms, weights, 0.05, rhs_s, rhs_f)
-    assert fact.lu.shape[0] == _num_skeleton(n)
+    assert fact.U.shape[0] == _num_skeleton(n)
     dense = np.linalg.solve(block_matrix(fact.system).toarray(),
                             np.concatenate([rhs_s, rhs_f]))
     np.testing.assert_allclose(u, dense[: forms.num_cells], atol=1e-9)
@@ -258,10 +258,10 @@ def test_skeleton_band_for_every_weight(n, size, bandwidth):
     for system in (newton, constant):
         assert system.reduced.shape == (num_macros, 8, 8)
         assert not system.reduced.flags.writeable
-        lu = factorize(system).lu
-        assert len(lu.factors) == levels
-        assert lu.shape == (size, size)
-        assert lu.band.shape == (bandwidth + 1, coarse)
+        assert len(system.level_factors) == levels
+        fact = factorize(system)
+        assert fact.U.shape == (size, size)
+        assert fact.band.shape == (bandwidth + 1, coarse)
 
 
 def _macro_columns(forms):
@@ -343,10 +343,9 @@ def test_band_solve_matches_dense_oracle(n, newton):
     weights = _newton_weights(forms, 1e-4) if newton else 84.0
     system = assemble(forms, weights, 0.05)
     fact = factorize(system)
-    band = fact.lu
-    assert band.shape[0] == _num_skeleton(n)
+    assert fact.U.shape[0] == _num_skeleton(n)
     # U^T U is the skeleton matrix, in the skeleton's own numbering.
-    np.testing.assert_allclose((band.L @ band.U).toarray(),
+    np.testing.assert_allclose((fact.L @ fact.U).toarray(),
                                skeleton_matrix(system).toarray(), rtol=0,
                                atol=1e-12)
     rhs_s = rng.normal(size=forms.num_cells)
@@ -385,7 +384,7 @@ def test_operator_products_are_scipys(n):
     rhs_s = rng.normal(size=nc)
     x = np.zeros(ops.scalar.shape[1])
     x[:nc], x[-1] = rhs_s, 1.0
-    x[nc:-2] = fact.lu.solve(ops.skeleton_rhs @ x)
+    x[nc:-2] = fact.solve(ops.skeleton_rhs @ x)
     u, unknowns = solve(fact, rhs_s)
     assert unknowns.tobytes() == x.tobytes()
     assert u.tobytes() == (ops.scalar @ x).tobytes()
@@ -435,13 +434,11 @@ def _random_weights(rng, num_cells):
 
 
 def _system_arrays(system):
+    # The macros' arrays, then every level's band factor, W and Schur
+    # blocks.
     return [system.weights, system.reduced, system.den, system.pivot,
-            system.coupling, system.cross_pivot, system.cross_rows]
-
-
-def _factor_arrays(fact):
-    # Every level's band factor, W and Schur blocks, then the band.
-    return [a for factor in fact.lu.factors for a in factor] + [fact.lu.band]
+            system.coupling, system.cross_pivot, system.cross_rows] + [
+        a for factor in system.level_factors for a in factor]
 
 
 def _assert_same_bytes(got, want):
@@ -453,7 +450,7 @@ def _assert_same_bytes(got, want):
 @pytest.mark.parametrize("n", [64, 65])
 @pytest.mark.parametrize("newton", [True, False])
 def test_level_blocks_do_not_depend_on_the_others(n, newton):
-    # What a handed-over factorization rests on: a level's band Cholesky,
+    # What a handed-over system's levels rest on: a level's band Cholesky,
     # its triangular solves and its products on any subset of its blocks
     # give the bytes the whole level gives those blocks.
     forms = _forms_with_trace(n)
@@ -478,11 +475,12 @@ def test_level_blocks_do_not_depend_on_the_others(n, newton):
        seed=st.integers(0, 2**32 - 1),
        share=st.sampled_from([0.0, 0.02, 0.3, 1.0]))
 def test_handed_over_system_and_factorization_match_fresh(n, seed, share):
-    # assemble and factorize given the previous system and factorization
-    # redo only the macros whose weights changed, in the previous arrays,
-    # and give the bytes of a fresh assemble and factorize: every array,
-    # every level's factors and Schur blocks, the band, u and q.  The
-    # weights go back and forth, so each hand-over also undoes one.
+    # assemble given the previous system redoes only the macros whose
+    # weights changed and the level blocks over them, in the previous
+    # arrays, and gives the bytes of a fresh assemble: every array, every
+    # level's factors and Schur blocks, then its factorization's band, u
+    # and q.  The weights go back and forth, so each hand-over also
+    # undoes one.
     forms = _forms_with_trace(n)
     hybrid, nc = forms.hybrid, forms.num_cells
     rng = np.random.default_rng(seed)
@@ -491,31 +489,32 @@ def test_handed_over_system_and_factorization_match_fresh(n, seed, share):
     second = np.where(macros[hybrid.positions % macros.size],
                       _random_weights(rng, nc), first)
     system = assemble(forms, first, 0.05)
-    fact = factorize(system)
     rhs = rng.normal(size=nc)
     for weights in (second, first):
-        previous, previous_fact = system, fact
+        previous = system
         system = assemble(forms, weights, 0.05, previous)
-        fact = factorize(system, previous_fact)
-        assert system.reduced is previous.reduced
-        if hybrid.levels:
-            assert fact.lu.factors[-1][2] is previous_fact.lu.factors[-1][2]
+        fact = factorize(system)
+        # Every array but the weights and den is taken over, the levels'
+        # included.
+        taken = [a is b for a, b in zip(_system_arrays(system),
+                                        _system_arrays(previous))]
+        assert taken == [False, True, False] + [True] * (4 + 3 * len(
+            hybrid.levels))
         fresh = assemble(forms, weights, 0.05)
         fresh_fact = factorize(fresh)
         _assert_same_bytes(
-            _system_arrays(system) + _factor_arrays(fact)
-            + list(solve(fact, rhs)),
-            _system_arrays(fresh) + _factor_arrays(fresh_fact)
+            _system_arrays(system) + [fact.band] + list(solve(fact, rhs)),
+            _system_arrays(fresh) + [fresh_fact.band]
             + list(solve(fresh_fact, rhs)))
-        for a in _system_arrays(system) + _factor_arrays(fact):
+        for a in _system_arrays(system) + [fact.band]:
             assert not a.flags.writeable
 
 
 @pytest.mark.parametrize("other", ["tau", "forms", "constant"])
 def test_previous_of_another_system_is_ignored(other):
-    # A previous system or factorization built with another tau, on other
-    # forms or with a constant weight is left as it was, and the new one
-    # is built afresh.
+    # A previous system built with another tau, on other forms or with a
+    # constant weight is left as it was, its levels included, and the new
+    # one is built afresh.
     forms = _forms_with_trace(64)
     rng = np.random.default_rng(7)
     weights = _random_weights(rng, forms.num_cells)
@@ -526,18 +525,15 @@ def test_previous_of_another_system_is_ignored(other):
                                            -0.5), weights, 0.05)
     else:
         previous = assemble(forms, 84.0, 0.05)
-    previous_fact = factorize(previous)
-    kept = [a.copy() for a in _system_arrays(previous)
-            + _factor_arrays(previous_fact)]
+    kept = [a.copy() for a in _system_arrays(previous)]
     weights[:50] += 1.0
     system = assemble(forms, weights, 0.05, previous)
-    fact = factorize(system, previous_fact)
     fresh = assemble(forms, weights, 0.05)
-    _assert_same_bytes(_system_arrays(system) + _factor_arrays(fact),
-                       _system_arrays(fresh) + _factor_arrays(factorize(fresh)))
+    _assert_same_bytes(_system_arrays(system) + [factorize(system).band],
+                       _system_arrays(fresh) + [factorize(fresh).band])
     assert system.reduced is not previous.reduced
-    _assert_same_bytes(_system_arrays(previous)
-                       + _factor_arrays(previous_fact), kept)
+    assert system.level_factors[-1][2] is not previous.level_factors[-1][2]
+    _assert_same_bytes(_system_arrays(previous), kept)
     # A constant weight never takes over a previous system's arrays.
     constant = assemble(forms, 84.0, 0.05, system)
     assert constant.reduced is not system.reduced
@@ -547,10 +543,10 @@ def test_previous_of_another_system_is_ignored(other):
 
 def test_dirichlet_terms_built_once_per_forms():
     # Newton's per-call solve reads the Dirichlet functional's terms from
-    # the forms, built on first use and read-only.
+    # the forms' hybrid operators, built on first use and read-only.
     forms = assemble_forms(build_structured_unit_square(5), -0.5)
-    terms = forms.dirichlet_terms
-    assert forms.dirichlet_terms is terms
+    terms = forms.hybrid.dirichlet_terms
+    assert forms.hybrid.dirichlet_terms is terms
     assert all(not a.flags.writeable for a in terms)
     system = assemble(forms, _newton_weights(forms, 1e-4), 0.05)
     u, q = solve(factorize(system), np.ones(forms.num_cells))
@@ -574,11 +570,11 @@ def test_level_solve_residuals(n, kind):
         weights = 84.0
     system = assemble(forms, weights, 0.05)
     fact = factorize(system)
-    assert len(fact.lu.factors) == 2
+    assert len(system.level_factors) == 2
     # U^T U is the skeleton matrix, row i of U the factor row whose pivot
     # is skeleton edge i.
     skeleton = skeleton_matrix(system)
-    assert abs(fact.lu.L @ fact.lu.U - skeleton).max() \
+    assert abs(fact.L @ fact.U - skeleton).max() \
         < 1e-12 * abs(skeleton).max()
     rhs_s = rng.normal(size=forms.num_cells)
     u, q = solve_with_flux(fact, rhs_s)
@@ -592,23 +588,38 @@ def test_level_solve_residuals(n, kind):
 
 
 @pytest.mark.parametrize("n", [64, 65])
-def test_level_factorization_rejects_indefinite_matrix(n):
-    # A negated matrix fails in a cross Cholesky of the first level; one
-    # whose coarse skeleton alone has negative diagonal entries passes
-    # the crosses and fails in the band Cholesky.
+def test_level_factorization_rejects_indefinite_matrix(n, monkeypatch):
+    # A negated matrix fails in a cross Cholesky of the first level, in
+    # assemble; one whose coarse skeleton alone has negative diagonal
+    # entries passes the crosses and fails in factorize's band Cholesky.
     forms = assemble_forms(build_structured_unit_square(n))
     hybrid = forms.hybrid
-    system = assemble(forms, _newton_weights(forms, 1e-4), 0.05)
+    weights = _newton_weights(forms, 1e-4)
+    original = linear_system._condense_macros
+
+    def assemble_with(reduced_of):
+        # assemble, its macros' Schur blocks changed by reduced_of.
+        def condense(*args):
+            reduced, *rest = original(*args)
+            return (reduced_of(reduced), *rest)
+
+        monkeypatch.setattr(linear_system, "_condense_macros", condense)
+        return assemble(forms, weights, 0.05)
+
     with pytest.raises(SingularSystemError, match="cross"):
-        factorize(replace(system, reduced=-system.reduced))
+        assemble_with(np.negative)
     coarse = np.arange(hybrid.skeleton_edges.size)
     for level in hybrid.levels:
         coarse = coarse[level.kept]
     macro, position = np.nonzero(np.isin(hybrid.macro_multiplier.T, coarse))
-    reduced = system.reduced.copy()
-    reduced[macro, position, position] = -1e6
+
+    def negative_coarse_diagonal(reduced):
+        reduced[macro, position, position] = -1e6
+        return reduced
+
+    system = assemble_with(negative_coarse_diagonal)
     with pytest.raises(SingularSystemError, match="band"):
-        factorize(replace(system, reduced=reduced))
+        factorize(system)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 11, 32])
@@ -721,7 +732,7 @@ def test_condensed_solve_matches_dense_oracle(n, seed, dry, tau):
     rhs_s = rng.normal(size=forms.num_cells)
     rhs_f = rng.normal(size=forms.num_edges)
     fact, u, q = solve_general_flux(forms, weights, tau, rhs_s, rhs_f)
-    assert fact.lu.shape[0] == _num_skeleton(n)
+    assert fact.U.shape[0] == _num_skeleton(n)
     assert residual_norm(fact.system, u, q, rhs_s) < 1e-10
     dense = np.linalg.solve(block_matrix(fact.system).toarray(),
                             np.concatenate([rhs_s, rhs_f]))
@@ -742,7 +753,7 @@ def test_solve_residual_with_random_zero_weights(n, seed, dry, tau):
     fact, u, q = solve_general_flux(forms, weights, tau, rhs_s, rhs_f)
     # The factorized size depends on neither which cells are dry nor
     # whether any is.
-    assert fact.lu.shape[0] == _num_skeleton(n)
+    assert fact.U.shape[0] == _num_skeleton(n)
     assert residual_norm(fact.system, u, q, rhs_s) < 1e-10
 
 

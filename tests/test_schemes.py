@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import degenmfem.schemes as schemes
 from degenmfem.fem import assemble_forms, l2_norm_scalar
 from degenmfem.linear_system import (
-    Factorization,
+    SaddleSystem,
     SingularSystemError,
     assemble,
     factorize,
@@ -207,21 +207,18 @@ def _eager_rule(cheap):
     screen and the lazy relative norms.  A constant weight's increments
     from cell vectors, as the screen forms them, go to ``cheap``."""
 
-    def update(self, u_new, q_new):
-        # A constant weight's solve returns its unknowns x in q's place;
-        # its right-hand side is x[:num_cells].
-        x_old, x_new = self.x, q_new
+    def update(self, u_new, q_new, rhs):
+        # A constant weight's solve returns its unknowns x in q's place.
         if self.fact is not None:
-            q_new = schemes.flux(self.fact, x_new)
-            self.x = x_new
-        u_old, q_old = self.u, self.q
-        self.u, self.q = u_new, q_new
+            self.x, q_new = q_new, schemes.flux(self.fact, q_new)
+        u_old, q_old, rhs_old = self.u, self.q, self.rhs
+        self.u, self.q, self.rhs = u_new, q_new, rhs
         du = l2_norm_scalar(self.mesh, u_new - u_old)
         if q_old is None:
             return False, not np.all(np.isfinite(u_new))
         if self.fact is not None:
-            system, nc = self.fact.system, u_new.size
-            energy = ((u_new - u_old) @ (x_new[:nc] - x_old[:nc])
+            system = self.fact.system
+            energy = ((u_new - u_old) @ (rhs - rhs_old)
                       - system.weights[0] * du * du) / system.tau
             cheap.append(du + np.sqrt(max(energy, 0.0)))
         dq = schemes.l2_norm_flux(self.forms, q_new - q_old)
@@ -412,29 +409,37 @@ DRIVERS = {"hl": "hl_iterate", "lreg": "regularized_l_iterate",
     ("hl", "solve"), ("lreg", "solve"), ("newton", "solve"),
     ("newton", "factorize"), ("newton", "factorize-2")])
 def test_singular_system_reported(forms, monkeypatch, kind, failing):
-    # "factorize-2" fails Newton's second factorization, the first one
-    # handed the previous iteration's factorization.
+    # "factorize-2" fails Newton's second factorization, of the first
+    # system assembled from the previous iteration's system.
     u_star, _, u_prev, f_n = _manufactured_linear_step(forms, seed=5)
     config = _holder_config(kind, _reference_stop(u_star, tol=1e-9))
     name, _, call = failing.partition("-")
     call = int(call or 1)
-    original, previous = getattr(schemes, name), []
+    original, calls = getattr(schemes, name), []
 
     def boom(*args, **kwargs):
-        previous.append(args[1:])
-        if len(previous) == call:
+        calls.append(args)
+        if len(calls) == call:
             raise SingularSystemError("synthetic pivot failure")
         return original(*args, **kwargs)
 
     monkeypatch.setattr(schemes, name, boom)
+    assembled = []
+
+    def spy(*args):
+        assembled.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(schemes, "assemble", spy)
     driver = getattr(schemes, DRIVERS[kind])
     _, _, report = driver(forms, config, u_prev, u_prev, f_n)
     assert not report.converged
     assert report.failure_reason == "singular system"
     assert report.iterations_used == call
     if call == 2:
-        assert previous[0] == (None,)
-        assert isinstance(previous[1][0], Factorization)
+        # assemble's previous system: none, then the first system.
+        assert [args[3] for args in assembled] == [None, calls[0][0]]
+        assert isinstance(calls[0][0], SaddleSystem)
 
 
 @pytest.mark.parametrize("kind", schemes.SCHEME_KINDS)
