@@ -214,13 +214,15 @@ def scheme_config(kind, tol, tau, eps=None, L=None, reg_kind="linear",
                         regularization=reg, L=None if L is None else float(L))
 
 
-def experiment_row(config, eps, series, n_steps):
-    """The table row of a series run under ``config``; a series that did
-    not converge in all ``n_steps`` steps is an nc row without counts."""
+def experiment_row(config, series, n_steps):
+    """The table row of a series run under ``config``, eps from its
+    regularization; a series that did not converge in all ``n_steps``
+    steps is an nc row without counts."""
     converged = series_converged(series, n_steps)
     total = total_iterations(series) if converged else None
     return ExperimentResult(
-        scheme=config.kind, tol=config.stopping.tol, eps=eps, tau=config.tau,
+        scheme=config.kind, tol=config.stopping.tol,
+        eps=getattr(config.regularization, "epsilon", None), tau=config.tau,
         L=None if config.L is None else int(config.L),
         total_iterations=total,
         per_step=total / n_steps if converged else None,
@@ -254,7 +256,7 @@ def run_table(kind, mesh, forms, references_by_tau, tols=GRID_TOL,
         series = run_time_series(
             config, mesh, forms, u0, source, n_steps,
             references=[r.u for r in references_by_tau[tau]])
-        results.append(experiment_row(config, eps, series, n_steps))
+        results.append(experiment_row(config, series, n_steps))
     return results
 
 

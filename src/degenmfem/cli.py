@@ -144,7 +144,7 @@ def _run_solve(args) -> int:
     source = make_source_provider(mesh, DEFAULT_SOLUTION)
     series = run_time_series(config, mesh, forms, u0, source, args.steps,
                              references=[r.u for r in reference])
-    result = experiment_row(config, args.eps, series, args.steps)
+    result = experiment_row(config, series, args.steps)
     write_results_csv(out_dir / "solve_result.csv", [result])
 
     lines = [

@@ -115,22 +115,13 @@ def build_structured_unit_square(n: int) -> Mesh:
          np.stack([d_edge, h_edge[1:], v_edge[:, :-1]], axis=-1)],
         axis=2).reshape(-1, 3)
 
-    # Outward normals per (cell, local edge): CCW tangent rotated by -90deg.
-    pts = vertices[cells]                        # (nc, 3, 2)
-    tangents = np.roll(pts, -1, axis=1) - pts    # local edge k: vertex k -> k+1
-    lengths_local = np.linalg.norm(tangents, axis=2)
-    outward = np.stack(
-        [tangents[:, :, 1], -tangents[:, :, 0]], axis=2
-    ) / lengths_local[:, :, None]
-
-    # Global edge normal: outward normal of the lowest-numbered adjacent
-    # cell (boundary edges have only one), i.e. of the edge's first
-    # occurrence in the cell-major ``cell_edges``.  Signs follow.
+    # An edge's global normal is the outward normal of its first
+    # occurrence in the cell-major ``cell_edges``, in the lowest-numbered
+    # adjacent cell: its sign is +1 there and -1 in the other cell.
     _, first = np.unique(cell_edges.ravel(), return_index=True)
-    normals = outward.reshape(-1, 2)[first]
-
-    dots = np.einsum("ckd,ckd->ck", outward, normals[cell_edges])
-    cell_edge_signs = np.where(dots > 0.0, 1, -1).astype(np.int64)
+    cell_edge_signs = np.full(cell_edges.size, -1, dtype=np.int64)
+    cell_edge_signs[first] = 1
+    cell_edge_signs = cell_edge_signs.reshape(cell_edges.shape)
 
     boundary_edges = np.flatnonzero(
         np.bincount(cell_edges.ravel(), minlength=ne) == 1)
@@ -138,6 +129,7 @@ def build_structured_unit_square(n: int) -> Mesh:
     ev = vertices[edges]
     edge_midpoints = 0.5 * (ev[:, 0, :] + ev[:, 1, :])
 
+    pts = vertices[cells]                        # (nc, 3, 2)
     cross = (
         (pts[:, 1, 0] - pts[:, 0, 0]) * (pts[:, 2, 1] - pts[:, 0, 1])
         - (pts[:, 1, 1] - pts[:, 0, 1]) * (pts[:, 2, 0] - pts[:, 0, 0])

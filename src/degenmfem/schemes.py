@@ -24,20 +24,21 @@ per-cell linearization weight:
 With a constant weight one matrix factorization, with its precomputed
 solve operators, serves all iterations of all time steps; Newton's
 weights change, so every iteration hands the last system to
-``assemble``, which redoes only the blocks whose weights changed, and
-its solve forms q with u.  A
-constant-weight solve forms u alone and keeps the unknowns x of its
-solve, and ``linear_system.flux`` forms q
-from x, a product and no second solve, in two cases only: the
-iterations of the increment rule's screen band (below), and once for
-the final iterate.  The source functional
-<f, w> is carried on the right-hand side of every scheme.  ``march`` is
-the one time-step loop: the series driver and the benchmark's reference
-stage both call it, and it holds the factorizations the constant-weight
-steps share.
+``assemble``, which redoes only the blocks whose weights changed.  A
+step's per-step inputs are arguments: the factorization, if shared,
+and the reference field it stops against.  Each solve returns u and a
+second value y: q itself for Newton's solve, and for a constant weight
+the unknowns x of its solve, from which ``linear_system.flux`` forms q
+by a product and no second solve.  The step keeps y and forms q only
+where a decision reads it: the iterations of the increment rule's
+screen band (below), and once for the final iterate.  The source
+functional <f, w> is carried on the right-hand side of every scheme.
+``march`` is the one time-step loop: the series driver and the
+benchmark's reference stage both call it, and it holds the
+factorizations the constant-weight steps share.
 
 Stopping is either ``against_reference`` (L2 distance of the scalar
-iterate to a supplied reference field drops below TOL) or
+iterate to the step's reference field drops below TOL) or
 ``increment`` (both the absolute sum ||du|| + ||dq|| and the relative
 sum ||du||/||u|| + ||dq||/||q|| drop below TOL, with ||dq|| the M-norm
 of the flux increment).  For a constant weight L every iterate solves
@@ -104,15 +105,13 @@ SCREEN_MARGIN = 0.1
 class StoppingCriterion:
     """Stopping rule for one time step's iteration.
 
-    mode : "against_reference" or "increment"
+    mode : "against_reference" (to the step's ``reference`` argument)
+        or "increment"
     tol : the threshold TOL
-    reference : scalar reference field (against_reference mode); may be
-        filled in per time step by the series driver
     """
 
     mode: str
     tol: float
-    reference: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mode not in ("against_reference", "increment"):
@@ -213,49 +212,46 @@ class TimeStepResult:
 class _Stopping:
     """Tracks errors/increments and decides convergence and divergence.
 
-    ``fact`` is the factorization of a constant-weight step, whose solve
-    leaves q out and returns its unknowns x instead: the tracker forms q
-    from x by ``flux`` only where a decision reads it, and
-    takes the increments of the other iterations from cell vectors.
-    Newton (``fact`` None) passes every q.
+    Built on a step's first iterate ``u`` and, in against_reference
+    mode, its ``reference``.  It keeps the second value of every solve,
+    y, and forms q from it only where a decision reads it: q = y for
+    Newton's per-call solve (``fact`` None), and q = ``flux(fact, y)``
+    from the unknowns y of a constant-weight solve, whose increments
+    outside the screen band come from cell vectors instead.
     """
 
-    def __init__(self, forms, criterion, fact=None):
+    def __init__(self, forms, criterion, u, fact=None, reference=None):
         self.forms = forms
         self.mesh = forms.mesh
         self.crit = criterion
         self.fact = fact
+        self.reference = reference
+        self.to_flux = ((lambda y: y) if fact is None
+                        else (lambda y: flux(fact, y)))
         self.error_history = []
-        if criterion.mode == "against_reference" and criterion.reference is None:
-            raise ValueError("against_reference stopping needs a reference field")
-        # The last recorded iterate, its right-hand side, the unknowns x
-        # of its constant-weight solve and its flux, None until formed.
-        self.u = self.rhs = self.x = self.q = None
-
-    def record_initial(self, u):
-        self.u = u
-        if self.crit.mode == "against_reference":
-            self.error_history.append(
-                l2_norm_scalar(self.mesh, u - self.crit.reference))
+        if criterion.mode == "against_reference":
+            if reference is None:
+                raise ValueError(
+                    "against_reference stopping needs a reference field")
+            self.error_history.append(l2_norm_scalar(self.mesh, u - reference))
+        # The last recorded iterate, its right-hand side, its solve's
+        # second value y (None before the first solve) and its flux,
+        # None until formed.
+        self.u, self.rhs, self.y, self.q = u, None, None, None
 
     def last_flux(self):
-        """q of the last recorded iterate, formed once when left out."""
+        """q of the last recorded iterate, formed once."""
         if self.q is None:
-            self.q = flux(self.fact, self.x)
+            self.q = self.to_flux(self.y)
         return self.q
 
-    def update(self, u_new, q_new, rhs):
-        """Returns (converged, diverged) after recording the iterate
-        (u_new, q_new) solved for the right-hand side ``rhs``; for a
-        constant weight q_new is the unknowns x of its solve."""
-        u_old, rhs_old, x_old, q_old = self.u, self.rhs, self.x, self.q
-        if self.fact is None:
-            self.q = q_new
-        else:
-            self.x, self.q = q_new, None
-        self.u, self.rhs = u_new, rhs
+    def update(self, u_new, y_new, rhs):
+        """Returns (converged, diverged) after recording the iterate u_new
+        whose solve, for the right-hand side ``rhs``, returned y_new."""
+        u_old, rhs_old, y_old, q_old = self.u, self.rhs, self.y, self.q
+        self.u, self.rhs, self.y, self.q = u_new, rhs, y_new, None
         if self.crit.mode == "against_reference":
-            err = l2_norm_scalar(self.mesh, u_new - self.crit.reference)
+            err = l2_norm_scalar(self.mesh, u_new - self.reference)
             self.error_history.append(err)
             if not math.isfinite(err) or err > DIVERGENCE_THRESHOLD:
                 return False, True
@@ -263,7 +259,7 @@ class _Stopping:
 
         du_vec = u_new - u_old
         du = l2_norm_scalar(self.mesh, du_vec)
-        if x_old is None and q_old is None:
+        if y_old is None:
             # No previous flux yet; increments start at the second solve.
             return False, not np.all(np.isfinite(u_new))
         tol = self.crit.tol
@@ -276,8 +272,8 @@ class _Stopping:
                 # Far from both thresholds the cheap sum decides.
                 self.error_history.append(abs_sum)
                 return False, abs_sum > limit
-            q_old = q_old if q_old is not None else flux(self.fact, x_old)
-            q_new = self.last_flux()
+        q_old = q_old if q_old is not None else self.to_flux(y_old)
+        q_new = self.last_flux()
         dq = l2_norm_flux(self.forms, q_new - q_old)
         abs_sum = du + dq
         self.error_history.append(abs_sum)
@@ -300,7 +296,8 @@ class _Stopping:
         return math.sqrt(max(energy, 0.0))
 
 
-def linearized_iterate(forms, config, storage_prev, u_init, f_n, fact=None):
+def linearized_iterate(forms, config, storage_prev, u_init, f_n, fact=None,
+                       reference=None):
     """One time step of the scheme ``config`` defines.
 
     Parameters
@@ -311,11 +308,14 @@ def linearized_iterate(forms, config, storage_prev, u_init, f_n, fact=None):
     storage_prev : per-cell values of s(u^{n-1})
     u_init : initial iterate, normally the previous time-step solution
     f_n : per-cell source density at the new time level
-    fact : optional factorization of the constant-weight system (weights
-        L, step tau), shared across time steps by ``march``; one built
-        for another (L, tau) raises StaleFactorizationError.  Newton
-        refactorizes every iteration, from the last iteration's system,
-        and rejects any (ValueError).
+    fact : optional factorization of the constant-weight system (these
+        forms, weights L, step tau), shared across time steps by
+        ``march``; one built on other forms or for another (L, tau)
+        raises StaleFactorizationError.  Newton refactorizes every
+        iteration, from the last iteration's system, and rejects any
+        (ValueError).
+    reference : the scalar field against_reference stopping measures
+        the iterates against; required in that mode, unread otherwise
 
     Returns (u, q, IterationReport); a singular system is reported as
     non-convergence, not raised.
@@ -327,18 +327,19 @@ def linearized_iterate(forms, config, storage_prev, u_init, f_n, fact=None):
         w = config.L
         if fact is None:
             fact = factorize(assemble(forms, w, tau))
-        elif fact.system.tau != tau or np.any(fact.system.weights != w):
+        elif (fact.system.forms is not forms or fact.system.tau != tau
+              or np.any(fact.system.weights != w)):
             raise StaleFactorizationError(
-                f"factorization was not built for (L, tau) = ({w:g}, {tau:g})")
+                "factorization was not built on these forms for "
+                f"(L, tau) = ({w:g}, {tau:g})")
     elif fact is not None:
         raise ValueError("newton refactorizes every iteration; "
                          "it takes no factorization")
     areas = forms.scalar_mass
     base = areas * (np.asarray(storage_prev, dtype=float) + tau * np.asarray(f_n, dtype=float))
-    tracker = _Stopping(forms, config.stopping,
-                        fact if weights_fn is None else None)
     u = np.array(u_init, dtype=float, copy=True)
-    tracker.record_initial(u)
+    tracker = _Stopping(forms, config.stopping, u,
+                        fact if weights_fn is None else None, reference)
 
     converged = False
     reason = "max_iterations"
@@ -352,11 +353,11 @@ def linearized_iterate(forms, config, storage_prev, u_init, f_n, fact=None):
                 fact = factorize(assemble(
                     forms, w, tau, None if fact is None else fact.system))
             rhs_scalar = areas * (w * u - storage_fn(u)) + base
-            u_new, q_new = solve(fact, rhs_scalar)
+            u_new, y_new = solve(fact, rhs_scalar)
         except SingularSystemError:
             reason = "singular system"
             break
-        converged, diverged = tracker.update(u_new, q_new, rhs_scalar)
+        converged, diverged = tracker.update(u_new, y_new, rhs_scalar)
         u = u_new
         if diverged:
             reason = "divergence"
@@ -364,8 +365,7 @@ def linearized_iterate(forms, config, storage_prev, u_init, f_n, fact=None):
         if converged:
             break
     # A step whose first solve failed keeps a zero flux.
-    q = (np.zeros(forms.num_edges) if tracker.x is None and tracker.q is None
-         else tracker.last_flux())
+    q = np.zeros(forms.num_edges) if tracker.y is None else tracker.last_flux()
 
     return u, q, IterationReport(
         iterations_used=iterations,
@@ -387,22 +387,26 @@ def march(config, forms, u0, source_fn, n_steps, references=None,
     Each step feeds the previous solution as the initial guess and as
     the storage right-hand-side term; ``source_fn(t_n, t_prev)`` returns
     the per-cell source density for the step ending at t_n, and
-    ``references`` (if given) the scalar reference field each step stops
-    against, at least n_steps of them.
+    ``references`` the scalar reference field each step stops against,
+    at least n_steps of them, required for against_reference stopping.
     The driver of ``config.kind`` is looked up on this module per call,
     so a driver replaced on the module is the one run.
 
-    A constant-L step that fails is retried with L quadrupled, up to
-    ``escalations`` times; the next step starts again from
-    ``config.L``.  One factorization per L serves the whole march.  The
-    march stops at the first step that still fails.
+    A constant weight (``config.weights_function()`` None) shares one
+    factorization per L across the march, and a step that fails is
+    retried with L quadrupled, up to ``escalations`` times; the next
+    step starts again from ``config.L``.  The march stops at the first
+    step that still fails.
 
     Returns a list of TimeStepResult, one per executed step.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if escalations and config.kind == "newton":
+    constant = config.weights_function() is None
+    if escalations and not constant:
         raise ValueError("only a constant L can be escalated")
+    if references is None and config.stopping.mode == "against_reference":
+        raise ValueError("against_reference stopping needs per-step references")
     if references is not None and len(references) < n_steps:
         raise ValueError(f"need {n_steps} references, got {len(references)}")
     storage_fn = config.storage_function()
@@ -416,22 +420,18 @@ def march(config, forms, u0, source_fn, n_steps, references=None,
         t_n = n * config.tau
         f_n = source_fn(t_n, (n - 1) * config.tau)
         storage_prev = storage_fn(u_prev)
+        reference = None if references is None else references[n - 1]
         step_config = config
-        if references is not None:
-            step_config = replace(config, stopping=replace(
-                config.stopping, reference=references[n - 1]))
         for attempt in range(escalations + 1):
             if attempt:
                 step_config = replace(step_config, L=4.0 * step_config.L)
-            fact = ()
-            if config.kind != "newton":
-                big_l = step_config.L
-                if big_l not in factorizations:
-                    factorizations[big_l] = factorize(
-                        assemble(forms, big_l, config.tau))
-                fact = (factorizations[big_l],)
+            if constant and step_config.L not in factorizations:
+                factorizations[step_config.L] = factorize(
+                    assemble(forms, step_config.L, config.tau))
+            # None for per-cell weights, which refactorize every iteration.
+            fact = factorizations[step_config.L] if constant else None
             u, q, report = iterate(forms, step_config, storage_prev, u_prev,
-                                   f_n, *fact)
+                                   f_n, fact, reference)
             if report.converged:
                 break
         results.append(TimeStepResult(n, t_n, u, q, report))
@@ -443,17 +443,9 @@ def march(config, forms, u0, source_fn, n_steps, references=None,
 
 def run_time_series(config, mesh, forms, u0, source_fn, n_steps,
                     references=None):
-    """March n_steps steps of one scheme without L escalation.
-
-    For against_reference stopping, ``references`` supplies one scalar
-    reference field per step unless the criterion already carries one.
-    The series stops at the first non-converged step (the whole run is
-    then reported nc by the benchmark).  See ``march``.
-    """
-    if config.stopping.mode == "against_reference" and references is None \
-            and config.stopping.reference is None:
-        raise ValueError("series with against_reference stopping needs "
-                         "per-step references")
+    """``march`` without L escalation; ``mesh`` is unread.  The series
+    stops at the first non-converged step (the whole run is then
+    reported nc by the benchmark)."""
     return march(config, forms, u0, source_fn, n_steps, references)
 
 

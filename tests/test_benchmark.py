@@ -212,6 +212,12 @@ def test_run_table_smoke(small_problem):
     assert newton_total < hl_total
 
 
+def test_run_table_rejects_unknown_kind():
+    # Checked before any mesh, forms or reference is read.
+    with pytest.raises(ValueError, match="unknown scheme kind 'picard'"):
+        run_table("picard", None, None, {})
+
+
 def test_run_table_grid_shape(small_problem):
     mesh, forms = small_problem
     tau = 0.25

@@ -106,6 +106,9 @@ def test_solve_selects_L_of_one(tmp_path, capsys, flags):
         ["theory", "--tol", "1e-300", "--tau", "1e-300"],
         # theory prints nothing when its last flag is bad
         ["theory", "--tol", "1e-3", "--tau", "0.05", "--eps", "-1"],
+        # a series needs a step
+        ["solve", "--scheme", "hl", "--n", "2", "--tau", "0.25",
+         "--steps", "0", "--tol", "1e-3"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):

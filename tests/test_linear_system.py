@@ -768,8 +768,8 @@ def test_repeated_solves_bit_identical(forms2):
 
 
 def test_stale_factorization_rejected(forms2):
-    # The step checks a supplied factorization against its own (L, tau)
-    # once, before iterating.
+    # The step checks a supplied factorization against its own forms and
+    # (L, tau) once, before iterating.
     config = SchemeConfig(
         kind="hl", tau=0.5,
         stopping=StoppingCriterion(mode="increment", tol=1e-8),
@@ -785,12 +785,33 @@ def test_stale_factorization_rejected(forms2):
     _, _, report = hl_iterate(forms2, config, b_prev, u, f,
                               factorize(assemble(forms2, 1.0, 0.5)))
     assert report.converged
+    # So is none built on other forms: its solve takes their Dirichlet
+    # functional, and the step would converge to another u.
+    mesh = build_structured_unit_square(4)
+    forms_a, forms_b = assemble_forms(mesh, -0.5), assemble_forms(mesh, 0.0)
+    u, f = np.full(forms_a.num_cells, 0.5), np.zeros(forms_a.num_cells)
+    with pytest.raises(StaleFactorizationError):
+        hl_iterate(forms_a, config, np.sqrt(u), u, f,
+                   factorize(assemble(forms_b, 1.0, 0.5)))
 
 
 def test_rhs_shape_validation(forms1):
     fact = factorize(assemble(forms1, 1.0, 1.0))
     with pytest.raises(ValueError):
         solve(fact, np.zeros(3))
+
+
+@pytest.mark.parametrize("weights", ["constant", "per-cell"])
+def test_non_finite_solve_raises_singular(forms2, weights):
+    # A non-finite right-hand side reaches u in both solve paths; the
+    # solve reports it as a singular system, not as values.
+    nc = forms2.num_cells
+    w = 1.0 if weights == "constant" else np.linspace(0.5, 1.5, nc)
+    fact = factorize(assemble(forms2, w, 0.5))
+    rhs = np.ones(nc)
+    rhs[3] = np.nan
+    with pytest.raises(SingularSystemError, match="non-finite"):
+        solve(fact, rhs)
 
 
 def test_discrete_integration_by_parts():

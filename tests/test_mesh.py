@@ -32,6 +32,9 @@ def test_invalid_n():
         build_structured_unit_square(0)
     with pytest.raises(ValueError):
         build_structured_unit_square(-3)
+    for n in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_structured_unit_square(n)
 
 
 def test_numbering_n2():

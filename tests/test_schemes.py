@@ -58,9 +58,8 @@ def _manufactured_linear_step(forms, tau=0.4, seed=0):
     return u_star, q_star, u_prev, f_n
 
 
-def _reference_stop(u_ref, tol=1e-10):
-    return StoppingCriterion(mode="against_reference", tol=tol,
-                             reference=u_ref)
+def _reference_stop(tol=1e-10):
+    return StoppingCriterion(mode="against_reference", tol=tol)
 
 
 def test_config_validation():
@@ -71,8 +70,14 @@ def test_config_validation():
                      regularization=reg, L=1.0)  # hl takes no epsilon
     with pytest.raises(ValueError):
         SchemeConfig(kind="hl", tau=0.1, stopping=stop, nonlinearity=HOLDER)
+    with pytest.raises(ValueError, match="hl scheme requires a nonlinearity"):
+        SchemeConfig(kind="hl", tau=0.1, stopping=stop, L=1.0)
     with pytest.raises(ValueError):
         SchemeConfig(kind="lreg", tau=0.1, stopping=stop, regularization=reg)
+    with pytest.raises(ValueError,
+                       match="lreg scheme requires a regularization"):
+        SchemeConfig(kind="lreg", tau=0.1, stopping=stop, nonlinearity=HOLDER,
+                     L=1.0)
     with pytest.raises(ValueError):
         SchemeConfig(kind="newton", tau=0.1, stopping=stop,
                      regularization=reg, L=2.0)  # newton takes no L
@@ -94,9 +99,10 @@ def test_newton_linear_problem_one_iteration(forms):
     u_star, q_star, u_prev, f_n = _manufactured_linear_step(forms)
     reg = RegularizationSpec(kind="linear", epsilon=1e-3, base=LIPSCHITZ)
     config = SchemeConfig(kind="newton", tau=tau,
-                          stopping=_reference_stop(u_star),
+                          stopping=_reference_stop(),
                           regularization=reg)
-    u, q, report = newton_iterate(forms, config, u_prev, u_prev, f_n)
+    u, q, report = newton_iterate(forms, config, u_prev, u_prev, f_n,
+                                  reference=u_star)
     assert report.converged
     assert report.iterations_used == 1
     np.testing.assert_allclose(u, u_star, atol=1e-11)
@@ -109,10 +115,10 @@ def test_lipschitz_l_scheme_contracts_and_converges(forms):
     tau = 5.0  # deliberately large time step
     u_star, q_star, u_prev, f_n = _manufactured_linear_step(forms, tau=tau)
     config = SchemeConfig(kind="hl", tau=tau,
-                          stopping=_reference_stop(u_star, tol=1e-9),
+                          stopping=_reference_stop(tol=1e-9),
                           nonlinearity=LIPSCHITZ, L=1.0)
     u, q, report = hl_iterate(forms, config, np.maximum(u_prev, 0.0),
-                              u_prev, f_n)
+                              u_prev, f_n, reference=u_star)
     assert report.converged
     hist = report.error_history
     assert all(b <= a * (1 + 1e-12) for a, b in zip(hist, hist[1:]))
@@ -125,16 +131,17 @@ def test_hl_equals_lreg_for_lipschitz_nonlinearity(forms):
     # produce bit-identical trajectories for the same L.
     tau = 0.4
     u_star, _, u_prev, f_n = _manufactured_linear_step(forms, seed=4)
-    stop = _reference_stop(u_star, tol=1e-9)
+    stop = _reference_stop(tol=1e-9)
     config_hl = SchemeConfig(kind="hl", tau=tau, stopping=stop,
                              nonlinearity=LIPSCHITZ, L=1.0)
     reg = RegularizationSpec(kind="linear", epsilon=1e-3, base=LIPSCHITZ)
     config_lreg = SchemeConfig(kind="lreg", tau=tau, stopping=stop,
                                regularization=reg, L=1.0)
     u1, q1, rep1 = hl_iterate(forms, config_hl, np.maximum(u_prev, 0.0),
-                              u_prev, f_n)
+                              u_prev, f_n, reference=u_star)
     u2, q2, rep2 = regularized_l_iterate(
-        forms, config_lreg, np.maximum(u_prev, 0.0), u_prev, f_n)
+        forms, config_lreg, np.maximum(u_prev, 0.0), u_prev, f_n,
+        reference=u_star)
     assert rep1.iterations_used == rep2.iterations_used
     assert np.array_equal(u1, u2)
     assert np.array_equal(q1, q2)
@@ -147,10 +154,11 @@ def test_flux_formed_once_matches_flux_every_iteration(forms, monkeypatch):
     # changes nothing, and the last one is the step's q to the bit.
     u_star, _, u_prev, f_n = _manufactured_linear_step(forms, seed=5)
     config = SchemeConfig(kind="hl", tau=0.4, nonlinearity=LIPSCHITZ, L=2.0,
-                          stopping=_reference_stop(u_star, tol=1e-9))
+                          stopping=_reference_stop(tol=1e-9))
 
     def step():
-        return hl_iterate(forms, config, np.maximum(u_prev, 0.0), u_prev, f_n)
+        return hl_iterate(forms, config, np.maximum(u_prev, 0.0), u_prev, f_n,
+                          reference=u_star)
 
     u1, q1, rep1 = step()
     fluxes = record_fluxes(monkeypatch)
@@ -167,10 +175,10 @@ def test_exact_initial_guess_stops_immediately(forms):
     tau = 0.4
     u_star, q_star, u_prev, f_n = _manufactured_linear_step(forms, seed=7)
     config = SchemeConfig(kind="hl", tau=tau,
-                          stopping=_reference_stop(u_star, tol=1e-6),
+                          stopping=_reference_stop(tol=1e-6),
                           nonlinearity=LIPSCHITZ, L=1.0)
     u, q, report = hl_iterate(forms, config, np.maximum(u_prev, 0.0),
-                              u_star, f_n)
+                              u_star, f_n, reference=u_star)
     assert report.converged
     assert report.iterations_used <= 1
 
@@ -178,10 +186,10 @@ def test_exact_initial_guess_stops_immediately(forms):
 def test_zero_fixed_point(forms):
     config = SchemeConfig(
         kind="hl", tau=1.0,
-        stopping=_reference_stop(np.zeros(forms.num_cells), tol=1e-12),
-        nonlinearity=HOLDER, L=1.0)
+        stopping=_reference_stop(tol=1e-12), nonlinearity=HOLDER, L=1.0)
     zero = np.zeros(forms.num_cells)
-    u, q, report = hl_iterate(forms, config, zero, zero, zero)
+    u, q, report = hl_iterate(forms, config, zero, zero, zero,
+                              reference=zero)
     assert report.converged and report.iterations_used == 1
     np.testing.assert_array_equal(u, 0.0)
     np.testing.assert_array_equal(q, 0.0)
@@ -207,12 +215,11 @@ def _eager_rule(cheap):
     screen and the lazy relative norms.  A constant weight's increments
     from cell vectors, as the screen forms them, go to ``cheap``."""
 
-    def update(self, u_new, q_new, rhs):
-        # A constant weight's solve returns its unknowns x in q's place.
-        if self.fact is not None:
-            self.x, q_new = q_new, schemes.flux(self.fact, q_new)
+    def update(self, u_new, y_new, rhs):
+        # Newton's solve returns q; a constant weight's its unknowns x.
+        q_new = y_new if self.fact is None else schemes.flux(self.fact, y_new)
         u_old, q_old, rhs_old = self.u, self.q, self.rhs
-        self.u, self.q, self.rhs = u_new, q_new, rhs
+        self.u, self.y, self.q, self.rhs = u_new, y_new, q_new, rhs
         du = l2_norm_scalar(self.mesh, u_new - u_old)
         if q_old is None:
             return False, not np.all(np.isfinite(u_new))
@@ -318,7 +325,7 @@ def test_flux_increment_from_cell_vectors(n):
     energy = (du_vec @ (rhs_new - rhs_old) - big_l * du * du) / tau
     assert energy == pytest.approx(exact ** 2, rel=1e-9)
     tracker = schemes._Stopping(
-        forms, StoppingCriterion(mode="increment", tol=1.0), fact)
+        forms, StoppingCriterion(mode="increment", tol=1.0), u_old, fact)
     assert tracker._cheap_dq(du_vec, du, rhs_new - rhs_old) \
         == pytest.approx(exact, rel=1e-9)
 
@@ -365,10 +372,10 @@ def test_max_iterations_reported(forms):
     tau = 0.05
     u_star, _, u_prev, f_n = _manufactured_linear_step(forms, seed=12)
     config = SchemeConfig(kind="hl", tau=tau,
-                          stopping=_reference_stop(u_star, tol=1e-14),
+                          stopping=_reference_stop(tol=1e-14),
                           nonlinearity=HOLDER, L=40.0, max_iterations=3)
     _, _, report = hl_iterate(forms, config, np.maximum(u_prev, 0.0) ** 0.5,
-                              u_prev, f_n)
+                              u_prev, f_n, reference=u_star)
     assert not report.converged
     assert report.failure_reason == "max_iterations"
     assert report.iterations_used == 3
@@ -381,13 +388,31 @@ def test_divergence_reported(forms, monkeypatch):
     tau = 0.4
     u_star, _, u_prev, f_n = _manufactured_linear_step(forms, seed=3)
     config = SchemeConfig(kind="hl", tau=tau,
-                          stopping=_reference_stop(u_star, tol=1e-13),
+                          stopping=_reference_stop(tol=1e-13),
                           nonlinearity=HOLDER, L=40.0)
     _, _, report = hl_iterate(forms, config, np.maximum(u_prev, 0.0) ** 0.5,
-                              u_prev, f_n)
+                              u_prev, f_n, reference=u_star)
     assert not report.converged
     assert report.failure_reason == "divergence"
     assert report.iterations_used == 1
+
+
+def test_divergence_on_flux_norms_reported(forms, monkeypatch):
+    # Newton's increments always come from the flux norms; past a
+    # (deliberately tiny) threshold its first increment, at the second
+    # solve, ends the step.
+    monkeypatch.setattr(schemes, "DIVERGENCE_THRESHOLD", 1e-12)
+    _, _, u_prev, f_n = _manufactured_linear_step(forms, seed=3)
+    reg = RegularizationSpec(kind="linear", epsilon=1e-3, base=HOLDER)
+    config = SchemeConfig(kind="newton", tau=0.4, regularization=reg,
+                          stopping=StoppingCriterion(mode="increment",
+                                                     tol=1e-13))
+    _, q, report = newton_iterate(forms, config, u_prev, u_prev, f_n)
+    assert report.failure_reason == "divergence"
+    assert report.iterations_used == 2
+    assert len(report.error_history) == 1
+    assert report.error_history[0] > 1e-12
+    assert q.shape == (forms.num_edges,) and np.isfinite(q).all()
 
 
 def _holder_config(kind, stopping, tau=0.4):
@@ -412,7 +437,7 @@ def test_singular_system_reported(forms, monkeypatch, kind, failing):
     # "factorize-2" fails Newton's second factorization, of the first
     # system assembled from the previous iteration's system.
     u_star, _, u_prev, f_n = _manufactured_linear_step(forms, seed=5)
-    config = _holder_config(kind, _reference_stop(u_star, tol=1e-9))
+    config = _holder_config(kind, _reference_stop(tol=1e-9))
     name, _, call = failing.partition("-")
     call = int(call or 1)
     original, calls = getattr(schemes, name), []
@@ -432,7 +457,8 @@ def test_singular_system_reported(forms, monkeypatch, kind, failing):
 
     monkeypatch.setattr(schemes, "assemble", spy)
     driver = getattr(schemes, DRIVERS[kind])
-    _, _, report = driver(forms, config, u_prev, u_prev, f_n)
+    _, _, report = driver(forms, config, u_prev, u_prev, f_n,
+                          reference=u_star)
     assert not report.converged
     assert report.failure_reason == "singular system"
     assert report.iterations_used == call
@@ -476,8 +502,8 @@ def test_driver_names_are_the_config_driven_step(forms):
     # rejects a factorization instead of ignoring it.
     assert hl_iterate is regularized_l_iterate is newton_iterate \
         is linearized_iterate
-    u_star, _, u_prev, f_n = _manufactured_linear_step(forms, seed=8)
-    stop = _reference_stop(u_star, tol=1e-9)
+    _, _, u_prev, f_n = _manufactured_linear_step(forms, seed=8)
+    stop = _reference_stop(tol=1e-9)
     fact = factorize(assemble(forms, 40.0, 0.4))
     with pytest.raises(ValueError, match="no factorization"):
         linearized_iterate(forms, _holder_config("newton", stop), u_prev,
@@ -512,6 +538,14 @@ def test_march_refuses_short_references_before_a_solve(forms, monkeypatch):
     with pytest.raises(ValueError, match="need 3 references, got 2"):
         run_time_series(config, forms.mesh, forms, u_prev,
                         lambda tn, tp: f_n, 3, references=[u_star] * 2)
+    # No list at all is refused by the march, and no reference by the step.
+    with pytest.raises(ValueError, match="needs per-step references"):
+        schemes.march(config, forms, u_prev, lambda tn, tp: f_n, 3)
+    with pytest.raises(ValueError, match="needs per-step references"):
+        run_time_series(config, forms.mesh, forms, u_prev,
+                        lambda tn, tp: f_n, 3)
+    with pytest.raises(ValueError, match="needs a reference field"):
+        linearized_iterate(forms, config, u_prev, u_prev, f_n)
     assert solves == []
 
 
@@ -555,10 +589,8 @@ def test_run_time_series_single_step_matches_direct_call(forms):
                              lambda tn, tp: f_n, 1,
                              references=[u_star])
     u_direct, q_direct, rep = hl_iterate(
-        forms, SchemeConfig(kind="hl", tau=tau,
-                            stopping=_reference_stop(u_star, 1e-9),
-                            nonlinearity=LIPSCHITZ, L=1.0),
-        np.maximum(u_prev, 0.0), u_prev, f_n)
+        forms, config, np.maximum(u_prev, 0.0), u_prev, f_n,
+        reference=u_star)
     assert len(series) == 1
     assert np.array_equal(series[0].u, u_direct)
     assert np.array_equal(series[0].q, q_direct)

@@ -59,6 +59,10 @@ def test_accumulated_error_bound():
     assert accumulated_error_bound(0.02, 0.3, SPEC) == pytest.approx(
         direct, rel=1e-12)
     assert accumulated_error_bound(1e-9, 0.05, SPEC) < 1e-20
+    for delta, tau in ((0.0, 0.05), (-0.01, 0.05), (np.inf, 0.05),
+                       (0.01, 0.0), (0.01, np.nan), (0.01, np.inf)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            accumulated_error_bound(delta, tau, SPEC)
 
 
 def test_per_iteration_accumulation():

@@ -1,4 +1,4 @@
-"""Digests of the Newton and hl time series, to compare checkouts bit for bit.
+"""Digests of the benchmark's time series, to compare checkouts bit for bit.
 
     python3 tools/series_digest.py [CHECKOUT ...] [--n 5,33,48,64,65]
 
@@ -6,7 +6,9 @@ For each n, three series of the manufactured problem at tau = 0.05 run
 with increment stopping: Newton with the ``newton-n64`` workload's
 configuration (linear regularization, tol 1e-8, 10 steps) at eps 1e-3
 and 1e-4, and hl with the L of TOL 1e-3 (tol 1e-6, 3 steps), which
-condenses the skeleton on levels past n = 32.  Each line gives the
+condenses the skeleton on levels past n = 32.  Then, as in the tables,
+the ``compute_reference`` series at tau = 0.05 (10 steps), and lreg and
+Newton at TOL 1e-4 and eps 1e-3 stopping against it.  Each line gives the
 sha256 of every step's ``u``, of every ``q``, of the iteration counts, of
 the convergence flags and failure reasons, and of the error histories,
 the first 16 hex digits of each.
@@ -57,15 +59,25 @@ def series_digests(ns):
         kind="hl", tau=tau,
         stopping=schemes.StoppingCriterion(mode="increment", tol=1e-6),
         nonlinearity=spec, L=float(select_delta(1e-3, tau, spec)[1])), 3)
+    n_steps = benchmark.steps_for_tau(msol, tau)
+    against = {f"{kind}-ref": benchmark.scheme_config(kind, 1e-4, tau, 1e-3)
+               for kind in ("lreg", "newton")}
     out = {}
     for n in ns:
         msh = mesh.build_structured_unit_square(n)
         forms = fem.assemble_forms(msh, msol.boundary_value)
         u0 = fem.project_scalar(msh, msol.initial)
         source = benchmark.make_source_provider(msh, msol)
-        for name, (config, n_steps) in configs.items():
-            series = schemes.run_time_series(config, msh, forms, u0, source,
-                                             n_steps)
+        runs = {name: schemes.run_time_series(config, msh, forms, u0, source,
+                                              steps)
+                for name, (config, steps) in configs.items()}
+        runs["reference"] = benchmark.compute_reference(msh, forms, tau,
+                                                        n_steps)
+        fields = [r.u for r in runs["reference"]]
+        runs.update((name, schemes.run_time_series(
+            config, msh, forms, u0, source, n_steps, references=fields))
+            for name, config in against.items())
+        for name, series in runs.items():
             reports = [r.report for r in series]
             out[f"{name} n={n}"] = dict(zip(FIELDS, (
                 _digest(r.u.tobytes() for r in series),
